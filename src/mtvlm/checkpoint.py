@@ -13,6 +13,7 @@ checkpoint can be audited with ``xxd``.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -45,23 +46,30 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise ContractError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    view, offset = memoryview(blob), 4
+
+    def take(size: int) -> memoryview:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ContractError(
+                f"{path}: truncated checkpoint or trailing bytes at offset {offset}")
+        offset += size
+        return view[offset - size:offset]
+
+    def u32(count: int = 1) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    (version,) = u32()
     if version != VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
-    offset = 8
     while offset < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + nlen].decode("utf-8")
-        offset += nlen
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-        offset += 8 * count
+        (nlen,) = u32()
+        name = bytes(take(nlen)).decode("utf-8")
+        (rank,) = u32()
+        shape = u32(rank)
+        count = math.prod(shape)
+        arr = np.frombuffer(take(8 * count), dtype="<f8").copy()
         if name in out:
             raise ContractError(f"{path}: duplicate parameter {name!r}")
         out[name] = arr.reshape(shape)

@@ -23,8 +23,8 @@ import numpy as np
 from .autograd import (ParameterSet, Tensor, concat, embedding, layer_norm,
                        linear)
 from .errors import ConfigurationError, ContractError, SequenceLengthError
-from .packing import (MARKER_CHANGE, MARKER_IMAGE, Marker, PackedSequence,
-                      TokenizedPrompt, frame_marker, marker_for_token)
+from .packing import (MARKER_CHANGE, MARKER_IMAGE, Marker, TokenizedPrompt,
+                      frame_marker, marker_for_token)
 
 PAD, BOS, EOS = "<pad>", "<bos>", "<eos>"
 
@@ -197,9 +197,6 @@ class TinyCausalLM:
             x = h + m
         x = layer_norm(x, self.lnf_g.tensor, self.lnf_b.tensor)
         return linear(x, self.head_w.tensor, self.head_b.tensor)
-
-    def forward_packed(self, packed: PackedSequence) -> Tensor:
-        return self.forward(packed.embeddings)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:
         """Greedy decoding; ties break toward the lowest token id."""

@@ -3,8 +3,13 @@
 A tokenized prompt carries visual marker tokens. ``pack`` replaces each
 marker, in order, with the L_d embedding rows of the matching visual
 unit, producing the interleaved sequence the language model consumes.
-Row counts obey N = text_len + markers * L_d; the segment map records
-where every row came from.
+Row counts obey N = text_len + markers * L_d.
+
+The row layout is defined once, by ``row_layout``: each packed row is a
+``("text", token position)`` or ``("visual", unit index)`` entry. ``pack``
+stores it as the segment map and fills every row with one ``embedding``
+gather over the text rows stacked on the units' rows; ``supervision_mask``
+and ``validate_packed`` derive their results from the same layout.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import Tensor, concat, embedding
 from .errors import ContractError, ShapeError
 
 MARKER_IMAGE = "⟨image⟩"
@@ -111,6 +116,19 @@ class PackedSequence:
         return self.embeddings.shape[0]
 
 
+def row_layout(prompt: TokenizedPrompt, l_d: int) -> list[tuple[str, int]]:
+    """Each packed row's source in row order: ``("text", token position)``
+    per plain token, then ``l_d`` rows of ``("visual", unit index)`` per slot."""
+    unit_at = {pos: i for i, (pos, _) in enumerate(prompt.marker_slots)}
+    layout: list[tuple[str, int]] = []
+    for pos in range(len(prompt.tokens)):
+        if pos in unit_at:
+            layout.extend([("visual", unit_at[pos])] * l_d)
+        else:
+            layout.append(("text", pos))
+    return layout
+
+
 def pack(prompt: TokenizedPrompt, text_embeddings: Tensor,
          units: list[Tensor]) -> PackedSequence:
     """Replace each marker slot, in order, with its unit's embedding rows."""
@@ -123,33 +141,23 @@ def pack(prompt: TokenizedPrompt, text_embeddings: Tensor,
         raise ShapeError(
             f"text embeddings {text_embeddings.shape} do not cover "
             f"text_len={prompt.text_len}")
-    l_d = None
     for u in units:
         if u.ndim != 2:
             raise ShapeError(f"visual unit must be 2-d, got {u.shape}")
         if u.shape[1] != text_embeddings.shape[1]:
             raise ShapeError(
                 f"unit width {u.shape} vs text width {text_embeddings.shape}")
-        if l_d is None:
-            l_d = u.shape[0]
-        elif u.shape[0] != l_d:
-            raise ShapeError(
-                f"visual units disagree on L_d: {l_d} vs {u.shape[0]}")
+    l_ds = sorted({u.shape[0] for u in units})
+    if len(l_ds) > 1:
+        raise ShapeError(f"visual units disagree on L_d: {l_ds}")
+    l_d = l_ds[0] if l_ds else 0
 
-    slot_at = {pos: i for i, (pos, _) in enumerate(slots)}
-    pieces: list[Tensor] = []
-    segment_map: list[tuple[str, int]] = []
-    text_row = 0
-    for t_idx in range(len(prompt.tokens)):
-        if t_idx in slot_at:
-            i = slot_at[t_idx]
-            pieces.append(units[i])
-            segment_map.extend(("visual", i) for _ in range(l_d))
-        else:
-            pieces.append(text_embeddings.narrow(0, text_row, 1))
-            segment_map.append(("text", t_idx))
-            text_row += 1
-    embeddings = concat(pieces, axis=0) if pieces else text_embeddings
+    segment_map = row_layout(prompt, l_d)
+    # text rows, then the units' rows: the layout keeps each group in order
+    is_text = np.array([src == "text" for src, _ in segment_map], dtype=bool)
+    rows = np.where(is_text, np.cumsum(is_text) - 1,
+                    prompt.text_len + np.cumsum(~is_text) - 1)
+    embeddings = embedding(concat([text_embeddings, *units], axis=0), rows)
     return PackedSequence(embeddings=embeddings,
                           loss_mask=np.zeros(embeddings.shape[0], dtype=bool),
                           segment_map=segment_map)
@@ -167,36 +175,23 @@ def supervision_mask(prompt: TokenizedPrompt, answer_token_span: tuple[int, int]
         raise ContractError(
             f"answer span {answer_token_span} out of bounds for "
             f"{len(prompt.tokens)} tokens")
-    marker_positions = {pos for pos, _ in prompt.marker_slots}
-    if any(start <= pos < end for pos in marker_positions):
+    mask = np.array([src == "text" and start <= pos < end
+                     for src, pos in row_layout(prompt, l_d)], dtype=bool)
+    if mask.sum() != end - start:
         raise ContractError(f"answer span {answer_token_span} crosses a visual marker")
-    mask: list[bool] = []
-    for t_idx in range(len(prompt.tokens)):
-        if t_idx in marker_positions:
-            mask.extend([False] * l_d)
-        else:
-            mask.append(start <= t_idx < end)
-    return np.asarray(mask, dtype=bool)
+    return mask
 
 
 def validate_packed(ps: PackedSequence, prompt: TokenizedPrompt, l_d: int) -> None:
     """Re-check the packing laws on an already packed sequence."""
-    n_markers = len(prompt.marker_slots)
-    expected_n = prompt.text_len + n_markers * l_d
-    if ps.n != expected_n:
-        raise PackingError(f"N={ps.n}, conservation law demands {expected_n}")
+    layout = row_layout(prompt, l_d)
+    if ps.n != len(layout):
+        raise PackingError(f"N={ps.n}, conservation law demands {len(layout)}")
     if len(ps.segment_map) != ps.n or ps.loss_mask.shape != (ps.n,):
         raise PackingError("segment map or mask length disagrees with N")
-    slot_at = {pos: i for i, (pos, _) in enumerate(prompt.marker_slots)}
-    expected_map: list[tuple[str, int]] = []
-    for t_idx in range(len(prompt.tokens)):
-        if t_idx in slot_at:
-            expected_map.extend(("visual", slot_at[t_idx]) for _ in range(l_d))
-        else:
-            expected_map.append(("text", t_idx))
-    if list(ps.segment_map) != expected_map:
+    if list(ps.segment_map) != layout:
         raise PackingError("segment map does not follow tokenizer order")
-    for row, (source, _) in enumerate(ps.segment_map):
+    for row, (source, _) in enumerate(layout):
         if source == "visual" and ps.loss_mask[row]:
             raise PackingError(f"loss mask set on visual row {row}")
 

@@ -24,7 +24,7 @@ from .data import (CAPTION_CHANGED, CAPTION_UNCHANGED, ERA_LABELS,
                    SYNTH_VIDEO_INSTRUCTION, SampleRecord)
 from .errors import ConfigurationError, ContractError
 from .lm import CLUE_TABLES, LMConfig, TinyCausalLM, Vocab, stub_clue
-from .packing import TokenizedPrompt, pack, supervision_mask
+from .packing import TokenizedPrompt, pack, row_layout, supervision_mask
 from .prompting import (CLUE_PROMPTS, TASK_TAGS, ClueCache,
                         ClueUnavailableError, build_prompt, generate_clue,
                         instruction_for_dataset)
@@ -180,11 +180,12 @@ class MultiTemporalModel:
         tokens = prompt.tokens + answer_ids
         full = TokenizedPrompt(tokens=tokens, marker_slots=prompt.marker_slots,
                                text_len=prompt.text_len + len(answer_ids))
-        slot_positions = {pos for pos, _ in full.marker_slots}
-        text_ids = [t for i, t in enumerate(tokens) if i not in slot_positions]
         units = self.visual_units(record)
+        l_d = units[0].shape[0]
+        text_ids = [tokens[pos] for src, pos in row_layout(full, l_d)
+                    if src == "text"]
         packed = pack(full, self.lm.embed_ids(text_ids), units)
-        return packed, full, len(prompt.tokens), units[0].shape[0]
+        return packed, full, len(prompt.tokens), l_d
 
     def training_example(self, record: SampleRecord):
         """Packed rows, per-row target ids, and the answer-only loss mask."""

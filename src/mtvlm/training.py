@@ -74,7 +74,10 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     w = cfg.warmup_steps
     if step < w:
         return cfg.max_lr * step / w
-    frac = (step - w) / (cfg.total_steps - w)
+    decay = cfg.total_steps - w
+    if decay == 0:      # total_steps == 0: the schedule is the single step 0
+        return cfg.max_lr
+    frac = (step - w) / decay
     return cfg.min_lr + 0.5 * (cfg.max_lr - cfg.min_lr) * (1.0 + math.cos(math.pi * frac))
 
 

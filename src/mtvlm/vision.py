@@ -47,6 +47,8 @@ class VisualInput:
             raise ContractError(f"pair input needs 2 frames, got {k}")
         if k < 1:
             raise ContractError("visual input with no frames")
+        if not np.isfinite(self.frames).all():
+            raise ContractError("pixel values must be finite")
         if self.frames.min() < 0.0 or self.frames.max() > 1.0:
             raise ContractError("pixel values must lie in [0, 1]")
 

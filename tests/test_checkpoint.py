@@ -69,6 +69,42 @@ def test_duplicate_parameter_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
+    ps = sample_params()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, ps)
+    blob = path.read_bytes()
+    names = ps.names()
+    cut_path = tmp_path / "cut.ckpt"
+    prefixes = 0
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        try:
+            state = read_checkpoint(cut_path)
+        except ContractError:
+            continue
+        # The format has no record count, so a cut on a record boundary
+        # reads as the leading records; strict loading then rejects it.
+        assert list(state) == names[:len(state)] and len(state) < len(names)
+        for name, arr in state.items():
+            np.testing.assert_array_equal(arr, ps[name].data)
+        with pytest.raises(ContractError, match="missing"):
+            load_into(cut_path, sample_params())
+        prefixes += 1
+    assert prefixes == len(names)      # the bare header and each record end
+
+
+@pytest.mark.parametrize("fill", [b"\x00", b"\xff"], ids=["zeros", "ones"])
+def test_trailing_bytes_rejected(tmp_path, fill):
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, sample_params())
+    blob = path.read_bytes()
+    for extra in range(1, 16):
+        path.write_bytes(blob + fill * extra)
+        with pytest.raises(ContractError, match="trailing"):
+            read_checkpoint(path)
+
+
 def test_load_into_strict_and_shapes(tmp_path):
     ps = sample_params()
     path = tmp_path / "model.ckpt"

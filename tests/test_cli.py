@@ -363,6 +363,14 @@ def test_lr_curve_endpoints(tmp_path):
     assert abs(float(lines[-1].split(",")[1]) - 0.02) <= 1e-15
 
 
+def test_lr_curve_zero_steps(tmp_path):
+    out = tmp_path / "curve.csv"
+    code = main(["lr-curve", "--out", str(out),
+                 "--override", "max_lr=0.2", "--override", "total_steps=0"])
+    assert code == 0
+    assert out.read_text().splitlines() == ["step,lr", "0,0.2"]
+
+
 # -- ablate -------------------------------------------------------------------------------
 
 def test_ablate_plumbing(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcheck import gradcheck, scalarizer
 from mtvlm.autograd import Tensor
 from mtvlm.errors import ContractError, ShapeError
 from mtvlm.packing import (
@@ -102,6 +103,46 @@ def test_pack_validation_errors():
     with pytest.raises(ShapeError):
         pack(two, Tensor(np.zeros((1, 3))),
              [Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
+
+
+def two_unit_prompt(text_len):
+    """``text_len - 1`` tokens, two adjacent frame markers, one more token."""
+    head = text_len - 1
+    tokens = list(range(text_len + 2))
+    slots = [(head, Marker("frame", 1)), (head + 1, Marker("frame", 2))]
+    return TokenizedPrompt(tokens=tokens, marker_slots=slots, text_len=text_len)
+
+
+def test_pack_gradcheck():
+    rng = np.random.default_rng(0)
+    prompt = two_unit_prompt(3)
+    text = Tensor(rng.normal(size=(3, 2)))
+    units = [Tensor(rng.normal(size=(2, 2))) for _ in range(2)]
+    project = scalarizer((3 + 2 * 2, 2), rng)
+    gradcheck(lambda: project(pack(prompt, text, units).embeddings),
+              [text, *units])
+
+
+def tape_nodes(t: Tensor) -> int:
+    """Recorded ops reachable from ``t`` (leaves carry no backward)."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+def test_pack_tape_size_is_independent_of_text_length():
+    counts = set()
+    for text_len in (1, 4, 32):
+        text = Tensor(np.zeros((text_len, 3)), requires_grad=True)
+        units = [Tensor(np.zeros((2, 3)), requires_grad=True) for _ in range(2)]
+        ps = pack(two_unit_prompt(text_len), text, units)
+        counts.add(tape_nodes(ps.embeddings))
+    assert len(counts) == 1, counts
 
 
 # -- supervision mask ----------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_schedule_without_warmup():
     assert abs(lr_at(10, cfg)) <= 1e-15
 
 
+def test_schedule_with_zero_steps():
+    cfg = TrainConfig(max_lr=0.5, min_lr=0.1, total_steps=0)
+    assert lr_at(0, cfg) == 0.5
+    with pytest.raises(ContractError):
+        lr_at(1, cfg)
+
+
 def test_schedule_range_check():
     with pytest.raises(ContractError):
         lr_at(-1, CFG)

@@ -37,6 +37,14 @@ def downsample_oracle(tokens, h, w):
 
 # -- visual inputs ---------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_visual_input_rejects_non_finite_pixels(bad):
+    frames = np.zeros((1, 3, 4, 4))
+    frames[0, 1, 2, 3] = bad
+    with pytest.raises(ContractError, match="finite"):
+        VisualInput("single", frames)
+
+
 def test_visual_input_validation():
     ok = np.zeros((1, 3, 4, 4))
     VisualInput("single", ok)
