@@ -136,13 +136,15 @@ class Tensor:
         return _op(self.data * s, (self,), lambda g: _send(self, g * s))
 
     def matmul(self, other: "Tensor") -> "Tensor":
+        """Product over the last two axes; leading (batch) axes must be equal."""
         other = _as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeError(f"matmul needs 2-d operands, got {self.shape} and {other.shape}")
-        if self.shape[1] != other.shape[0]:
-            raise ShapeError(f"matmul inner dims disagree: {self.shape} vs {other.shape}")
+        a, b = self.shape, other.shape
+        if min(len(a), len(b)) < 2 or a[:-2] != b[:-2] or a[-1] != b[-2]:
+            raise ShapeError(f"matmul needs (..., n, k) @ (..., k, m) with equal "
+                             f"batch dims, got {a} and {b}")
         return _op(self.data @ other.data, (self, other),
-                   lambda g: (_send(self, g @ other.data.T), _send(other, self.data.T @ g)))
+                   lambda g: (_send(self, g @ other.data.swapaxes(-1, -2)),
+                              _send(other, self.data.swapaxes(-1, -2) @ g)))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)

@@ -82,6 +82,22 @@ def _coerce(name: str, raw: str):
     raise ConfigurationError(f"unknown config field {name!r}")
 
 
+def _from_json(name: str, value):
+    """A config-file value as RunConfig holds it, if its JSON type fits the field."""
+    if value is None and name in ("grad_clip", "seed"):
+        return None
+    if name == "freeze":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif name in _BOOL_FIELDS:
+        ok = isinstance(value, bool)
+    else:
+        kinds = int if name in _INT_FIELDS else (int, float)
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigurationError(f"config field {name} cannot be {value!r}")
+    return tuple(value) if name == "freeze" else value
+
+
 def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     """Defaults, then the JSON file, then k=v override flags."""
     values = dataclasses.asdict(RunConfig())
@@ -93,11 +109,13 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
             file_values = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {p} is not valid JSON: {exc}")
+        if not isinstance(file_values, dict):
+            raise ConfigurationError(f"config file {p} must hold a JSON object")
         unknown = set(file_values) - set(values)
         if unknown:
             raise ConfigurationError(
                 f"config file {p} has unknown fields: {sorted(unknown)}")
-        values.update(file_values)
+        values.update((k, _from_json(k, v)) for k, v in file_values.items())
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"--override expects K=V, got {item!r}")
@@ -108,8 +126,6 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
             values[name] = _coerce(name, raw)
         except ValueError as exc:
             raise ConfigurationError(f"bad value for {name}: {exc}")
-    if isinstance(values["freeze"], list):
-        values["freeze"] = tuple(values["freeze"])
     return RunConfig(**values)
 
 

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import (ParameterSet, Tensor, concat, embedding, layer_norm,
-                       linear)
+from .autograd import ParameterSet, Tensor, embedding, layer_norm, linear
 from .errors import ConfigurationError, ContractError, SequenceLengthError
 from .packing import (MARKER_CHANGE, MARKER_IMAGE, Marker, TokenizedPrompt,
                       frame_marker, marker_for_token)
@@ -151,33 +150,27 @@ class TinyCausalLM:
         self.lnf_b = add(prefix + "ln_f.bias", np.zeros(d))
         self.head_w = add(prefix + "head.weight", n((vocab_size, d)))
         self.head_b = add(prefix + "head.bias", np.zeros(vocab_size))
-        self._masks: dict[int, Tensor] = {}
+        self._masks: dict[int, np.ndarray] = {}
 
     def embed_ids(self, ids: list[int]) -> Tensor:
         return embedding(self.embed.tensor, ids)
 
-    def _causal_mask(self, n: int) -> Tensor:
+    def _causal_mask(self, n: int) -> np.ndarray:
         if n not in self._masks:
-            m = np.triu(np.full((n, n), -1e9), k=1)
-            self._masks[n] = Tensor(m)
+            self._masks[n] = np.triu(np.full((n, n), -1e9), k=1)
         return self._masks[n]
 
-    def _attention(self, x: Tensor, b: dict) -> Tensor:
+    def _attention(self, x: Tensor, b: dict, mask: Tensor) -> Tensor:
+        """All heads at once: q and v as (heads, n, dh), k as (heads, dh, n)
+        and ``mask`` as (heads, n, n)."""
         n, d = x.shape
         heads = self.cfg.heads
         dh = d // heads
-        q = linear(x, b["wq"].tensor, b["bq"].tensor)
-        k = linear(x, b["wk"].tensor, b["bk"].tensor)
-        v = linear(x, b["wv"].tensor, b["bv"].tensor)
-        mask = self._causal_mask(n)
-        outs = []
-        for h in range(heads):
-            qh = q.narrow(1, h * dh, dh)
-            kh = k.narrow(1, h * dh, dh)
-            vh = v.narrow(1, h * dh, dh)
-            scores = qh.matmul(kh.transpose()).scale(1.0 / np.sqrt(dh)) + mask
-            outs.append(scores.softmax(axis=-1).matmul(vh))
-        return linear(concat(outs, axis=1), b["wo"].tensor, b["bo"].tensor)
+        q, k, v = (linear(x, b["w" + c].tensor, b["b" + c].tensor).reshape(n, heads, dh)
+                   for c in "qkv")
+        scores = q.transpose(1, 0, 2).matmul(k.transpose(1, 2, 0)).scale(1.0 / np.sqrt(dh)) + mask
+        out = scores.softmax(axis=-1).matmul(v.transpose(1, 0, 2))
+        return linear(out.transpose(1, 0, 2).reshape(n, d), b["wo"].tensor, b["bo"].tensor)
 
     def forward(self, embeddings: Tensor) -> Tensor:
         """Map (N, D_P) input rows to (N, vocab) logits, causally."""
@@ -189,8 +182,10 @@ class TinyCausalLM:
             raise SequenceLengthError(
                 f"sequence of {n} rows exceeds max_seq={self.cfg.max_seq}")
         x = embeddings + self.pos.tensor.narrow(0, 0, n)
+        # expanded per call, not cached: decoding sees a new n at every step
+        mask = Tensor(np.broadcast_to(self._causal_mask(n), (self.cfg.heads, n, n)))
         for b in self.blocks:
-            h = x + self._attention(layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor), b)
+            h = x + self._attention(layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor), b, mask)
             m = layer_norm(h, b["ln2_g"].tensor, b["ln2_b"].tensor)
             m = linear(m, b["fc1_w"].tensor, b["fc1_b"].tensor).relu()
             m = linear(m, b["fc2_w"].tensor, b["fc2_b"].tensor)

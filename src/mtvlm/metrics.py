@@ -212,7 +212,8 @@ def render_classification_table(report: dict) -> str:
 # -- prediction files -------------------------------------------------------------
 
 def read_predictions(path: str | Path) -> list[dict]:
-    """JSONL rows {id, category?, prediction, gold | references}."""
+    """JSONL rows {id, category?, prediction, gold | references} of strings,
+    with references a list of strings."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -222,9 +223,17 @@ def read_predictions(path: str | Path) -> list[dict]:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}: line {lineno}: {exc}") from exc
-            if "id" not in row or "prediction" not in row:
+            if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
                 raise ContractError(
-                    f"{path}: line {lineno}: rows need 'id' and 'prediction'")
+                    f"{path}: line {lineno}: rows need to be objects with 'id' and 'prediction'")
+            bad = [k for k in ("id", "prediction", "gold", "category")
+                   if k in row and not isinstance(row[k], str)]
+            refs = row.get("references", [])
+            if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+                bad.append("references")
+            if bad:
+                raise ContractError(f"{path}: line {lineno}: {bad} must be strings "
+                                    "(references a list of strings)")
             rows.append(row)
     if not rows:
         raise ContractError(f"{path}: no prediction rows")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -212,8 +213,12 @@ def write_pixels(path: str | Path, frames: np.ndarray) -> None:
 def read_pixels(path: str | Path) -> np.ndarray:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
-    shape = (sidecar["k"], sidecar["channels"], sidecar["h"], sidecar["w"])
-    expected = int(np.prod(shape)) * 8
+    shape = tuple(sidecar.get(key) if isinstance(sidecar, dict) else None
+                  for key in ("k", "channels", "h", "w"))
+    if not all(type(n) is int and n > 0 for n in shape) or shape[1] != 3:
+        raise ContractError(
+            f"{path}: sidecar must give positive int k, h, w and channels 3, got {sidecar!r}")
+    expected = math.prod(shape) * 8
     blob = path.read_bytes()
     if len(blob) != expected:
         raise ContractError(

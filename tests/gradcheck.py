@@ -3,6 +3,7 @@
 The checker re-runs a closure that rebuilds the computation graph from
 scratch on every call, perturbing one leaf element at a time. Leaves are
 mutated in place, so the closure must read ``leaf.data`` fresh each time.
+``tape_nodes`` counts the ops a result was built from, for tape-size tests.
 """
 
 from __future__ import annotations
@@ -67,3 +68,15 @@ def scalarizer(shape: tuple[int, ...], rng: np.random.Generator):
     """
     w = Tensor(rng.normal(size=shape))
     return lambda t: (t * w).sum()
+
+
+def tape_nodes(t: Tensor) -> int:
+    """Recorded ops reachable from ``t`` (leaves carry no backward)."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)

@@ -69,6 +69,9 @@ def test_grad_matmul_linear():
     b = Tensor(r.normal(size=4))
     m = Tensor(r.normal(size=(5, 2)))
     gradcheck(lambda: scalarizer((3, 2), rng_for(20))(x @ m), [x, m])
+    xb = Tensor(r.normal(size=(2, 3, 5)))
+    mb = Tensor(r.normal(size=(2, 5, 4)))
+    gradcheck(lambda: scalarizer((2, 3, 4), rng_for(23))(xb @ mb), [xb, mb])
     gradcheck(lambda: scalarizer((3, 4), rng_for(21))(linear(x, w, b)), [x, w, b])
     gradcheck(lambda: scalarizer((3, 4), rng_for(22))(linear(x, w)), [x, w])
 
@@ -273,6 +276,23 @@ def test_shape_errors():
         a.narrow(0, 0, 0)
     with pytest.raises(ShapeError):
         a.scale(Tensor([1.0, 2.0]))
+
+
+def test_matmul_shape_errors():
+    batched = Tensor(np.ones((2, 3, 5)))
+    with pytest.raises(ShapeError):
+        batched @ Tensor(np.ones((5, 4)))                   # mixed rank
+    with pytest.raises(ShapeError):
+        Tensor(np.ones((3, 5))) @ Tensor(np.ones((2, 5, 4)))
+    with pytest.raises(ShapeError):
+        batched @ Tensor(np.ones((3, 5, 4)))                # batch dims differ
+    with pytest.raises(ShapeError):
+        batched @ Tensor(np.ones((2, 4, 4)))                # inner dims differ
+    with pytest.raises(ShapeError):
+        Tensor(np.ones((3, 5))) @ Tensor(np.ones(5))        # 1-d operand
+    with pytest.raises(ShapeError):
+        Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
+    assert (batched @ Tensor(np.ones((2, 5, 4)))).shape == (2, 3, 4)
 
 
 def test_linear_conv_validation():

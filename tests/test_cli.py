@@ -1,5 +1,6 @@
 """Exit codes, config resolution, and every subcommand through tmp dirs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -71,6 +72,32 @@ def test_config_rejections(tmp_path):
         load_run_config(None, ["use_clues=perhaps"])
     with pytest.raises(ConfigurationError, match="bad value"):
         load_run_config(None, ["dim=tall"])
+
+
+@pytest.mark.parametrize("content", [
+    5, [1], "dim", None,                                # not an object
+    {"freeze": 3}, {"freeze": "lm."}, {"freeze": [1]},
+    {"total_steps": "abc"}, {"total_steps": 2.5}, {"dim": True},
+    {"use_clues": "no"}, {"use_clues": 0},
+    {"max_lr": "fast"}, {"grad_clip": [1.0]}, {"seed": "7"}, {"lm_heads": None},
+])
+def test_config_file_type_rejections(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ConfigurationError, match="config"):
+        load_run_config(str(path), [])
+    code = main(["lr-curve", "--config", str(path), "--out", str(tmp_path / "lr.csv")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_file_written_by_train_loads(tmp_path):
+    path = tmp_path / "config.json"
+    cfg = RunConfig(max_lr=1, grad_clip=1.0, freeze=("lm.",))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))   # freeze as a list, seed null
+    assert load_run_config(str(path), []) == cfg
+    path.write_text(json.dumps(dataclasses.asdict(RunConfig())))
+    assert load_run_config(str(path), []) == RunConfig()
 
 
 def test_seed_resolution(monkeypatch):
@@ -314,6 +341,26 @@ def test_eval_missing_gold_exits_2(tmp_path, capsys):
     write_predictions(pred, [{"id": "a", "prediction": "x"}])
     assert main(["eval", "--task", "vqa", "--predictions", str(pred),
                  "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("row", [
+    ["a", "x"],                                                  # not an object
+    {"id": 1, "prediction": "x", "gold": "x"},
+    {"id": "a", "prediction": ["x"], "gold": "x"},
+    {"id": "a", "prediction": "x", "gold": 3},
+    {"id": "a", "prediction": "x", "gold": "x", "category": None},
+    {"id": "a", "prediction": "a b", "references": "a b"},
+    {"id": "a", "prediction": "a b", "references": ["a b", 7]},
+])
+@pytest.mark.parametrize("task", ["vqa", "cc", "video"])
+def test_eval_rejects_mistyped_rows(tmp_path, capsys, row, task):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    code = main(["eval", "--task", task, "--predictions", str(pred),
+                 "--out", str(tmp_path / "r"), "--labels", "synthetic-video"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
 
 
 # -- inspection ------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import gradcheck
+from gradcheck import gradcheck, tape_nodes
 from mtvlm.autograd import ParameterSet, Tensor
 from mtvlm.errors import ConfigurationError, ContractError, SequenceLengthError
 from mtvlm.lm import (
@@ -124,6 +124,54 @@ def test_forward_prefix_stability():
     full = model.forward(Tensor(rows)).data
     head = model.forward(Tensor(rows[:3].copy())).data
     assert head.tobytes() == full[:3].tobytes()
+
+
+def numpy_forward(model, rows):
+    """Plain-numpy forward with one explicit loop over heads."""
+
+    def ln(x, gain, bias):
+        mu = x.mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * gain.data + bias.data
+
+    def lin(x, w, bias):
+        return x @ w.data.T + bias.data
+
+    n = rows.shape[0]
+    heads = model.cfg.heads
+    dh = model.cfg.dim // heads
+    mask = np.triu(np.full((n, n), -np.inf), k=1)
+    x = rows + model.pos.data[:n]
+    for b in model.blocks:
+        a = ln(x, b["ln1_g"], b["ln1_b"])
+        q, k, v = (lin(a, b["w" + c], b["b" + c]) for c in "qkv")
+        outs = []
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[:, cols] @ k[:, cols].T / np.sqrt(dh) + mask
+            p = np.exp(s - s.max(axis=-1, keepdims=True))
+            outs.append(p / p.sum(axis=-1, keepdims=True) @ v[:, cols])
+        x = x + lin(np.concatenate(outs, axis=1), b["wo"], b["bo"])
+        m = np.maximum(lin(ln(x, b["ln2_g"], b["ln2_b"]), b["fc1_w"], b["fc1_b"]), 0.0)
+        x = x + lin(m, b["fc2_w"], b["fc2_b"])
+    return lin(ln(x, model.lnf_g, model.lnf_b), model.head_w, model.head_b)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_forward_matches_per_head_numpy_reference(heads):
+    model, params = tiny_model(heads=heads, seed=7)
+    rng = np.random.default_rng(8)
+    for p in params.values():                # weights large enough to matter
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+    rows = rng.normal(size=(6, 8))
+    got = model.forward(Tensor(rows)).data
+    np.testing.assert_allclose(got, numpy_forward(model, rows), rtol=0, atol=1e-12)
+
+
+def test_forward_tape_size_is_independent_of_heads():
+    rows = Tensor(np.random.default_rng(9).normal(size=(5, 8)))
+    sizes = {heads: tape_nodes(tiny_model(heads=heads)[0].forward(rows))
+             for heads in (1, 2, 4, 8)}
+    assert len(set(sizes.values())) == 1, sizes
 
 
 # -- greedy decoding --------------------------------------------------------------

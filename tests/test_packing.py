@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gradcheck import gradcheck, scalarizer
+from gradcheck import gradcheck, scalarizer, tape_nodes
 from mtvlm.autograd import Tensor
 from mtvlm.errors import ContractError, ShapeError
 from mtvlm.packing import (
@@ -121,18 +121,6 @@ def test_pack_gradcheck():
     project = scalarizer((3 + 2 * 2, 2), rng)
     gradcheck(lambda: project(pack(prompt, text, units).embeddings),
               [text, *units])
-
-
-def tape_nodes(t: Tensor) -> int:
-    """Recorded ops reachable from ``t`` (leaves carry no backward)."""
-    seen, stack = set(), [t]
-    while stack:
-        node = stack.pop()
-        if node._backward is None or id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-    return len(seen)
 
 
 def test_pack_tape_size_is_independent_of_text_length():

@@ -1,5 +1,7 @@
 """Encoder stub, downsampling, projector, pixel files, frame sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,35 @@ def test_pixels_payload_mismatch(tmp_path):
     path = tmp_path / "x.f64"
     write_pixels(path, np.zeros((1, 3, 2, 2)))
     path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ContractError, match="payload"):
+        read_pixels(path)
+
+
+@pytest.mark.parametrize("sidecar", [
+    [1, 3, 2, 2], "k=1", None,                               # not an object
+    {"channels": 3, "h": 2, "w": 2},                         # missing k
+    {"k": 1, "h": 2, "w": 2},                                # missing channels
+    {"k": -1, "channels": 3, "h": -2, "w": 2},
+    {"k": 0, "channels": 3, "h": 2, "w": 2},
+    {"k": 1, "channels": 1, "h": 2, "w": 6},                 # right byte count
+    {"k": 1.0, "channels": 3, "h": 2, "w": 2},
+    {"k": True, "channels": 3, "h": 2, "w": 2},
+    {"k": "1", "channels": 3, "h": 2, "w": 2},
+])
+def test_pixels_sidecar_rejected(tmp_path, sidecar):
+    path = tmp_path / "x.f64"
+    write_pixels(path, np.zeros((1, 3, 2, 2)))
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ContractError, match="sidecar"):
+        read_pixels(path)
+
+
+def test_pixels_sidecar_size_is_not_wrapped(tmp_path):
+    path = tmp_path / "x.f64"
+    path.write_bytes(b"")
+    # 2**40 * 3 * 2**30 * 8 bytes is 0 in int64 arithmetic
+    path.with_suffix(".json").write_text(
+        json.dumps({"k": 2 ** 40, "channels": 3, "h": 2 ** 30, "w": 1}))
     with pytest.raises(ContractError, match="payload"):
         read_pixels(path)
 
