@@ -8,13 +8,16 @@ this module. Design constraints, chosen for auditability over speed:
 * elementwise binary ops require exactly matching shapes (the only
   broadcast anywhere is the bias add inside ``linear`` and ``conv2d``);
 * the tape is built eagerly by closures and walked once per ``backward``;
+  inside ``no_grad()`` ops record nothing, for forward-only inference;
 * repeated ``backward`` calls accumulate into ``.grad`` until the caller
   zeroes them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,8 +235,23 @@ def _same_shape(opname: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{opname} needs matching shapes, got {a.shape} and {b.shape}")
 
 
+_recording: ContextVar[bool] = ContextVar("mtvlm_tape_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block: op results are constants with no
+    parents. Recording is restored on exit, also when the block raises."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _op(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_recording.get()
+                 and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward

@@ -21,6 +21,7 @@ import numpy as np
 
 from .autograd import Parameter, ParameterSet
 from .errors import ContractError
+from .fileio import write_atomic
 
 MAGIC = b"URSK"
 VERSION = 1
@@ -28,7 +29,6 @@ VERSION = 1
 
 def write_checkpoint(path: str | Path,
                      params: ParameterSet | dict[str, np.ndarray]) -> None:
-    path = Path(path)
     chunks = [MAGIC, struct.pack("<I", VERSION)]
     for name, p in params.items():
         raw = name.encode("utf-8")
@@ -39,7 +39,7 @@ def write_checkpoint(path: str | Path,
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

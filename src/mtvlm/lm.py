@@ -20,8 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import ParameterSet, Tensor, embedding, layer_norm, linear
+from .autograd import (ParameterSet, Tensor, concat, embedding, layer_norm, linear,
+                       no_grad)
 from .errors import ConfigurationError, ContractError, SequenceLengthError
+from .fileio import write_atomic
 from .packing import (MARKER_CHANGE, MARKER_IMAGE, Marker, TokenizedPrompt,
                       frame_marker, marker_for_token)
 
@@ -87,12 +89,18 @@ class Vocab:
                                text_len=len(ids) - len(slots))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.tokens, ensure_ascii=False),
-                              encoding="utf-8")
+        write_atomic(path, json.dumps(self.tokens, ensure_ascii=False))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a JSON list of token strings, as ``save`` writes it."""
+        try:
+            tokens = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ContractError(f"{path}: a vocab file holds a JSON list of strings")
+        return cls(tokens)
 
 
 @dataclass
@@ -150,42 +158,61 @@ class TinyCausalLM:
         self.lnf_b = add(prefix + "ln_f.bias", np.zeros(d))
         self.head_w = add(prefix + "head.weight", n((vocab_size, d)))
         self.head_b = add(prefix + "head.bias", np.zeros(vocab_size))
-        self._masks: dict[int, np.ndarray] = {}
+        self._masks: dict[tuple[int, int], np.ndarray] = {}
 
     def embed_ids(self, ids: list[int]) -> Tensor:
         return embedding(self.embed.tensor, ids)
 
-    def _causal_mask(self, n: int) -> np.ndarray:
-        if n not in self._masks:
-            self._masks[n] = np.triu(np.full((n, n), -1e9), k=1)
-        return self._masks[n]
+    def _causal_mask(self, past: int, n: int) -> np.ndarray:
+        """Rows past:past+n of the (past+n)-square causal mask. A decode step
+        keeps one row, not the whole square, for each length it reaches."""
+        if (past, n) not in self._masks:
+            self._masks[past, n] = np.triu(np.full((n, past + n), -1e9), k=past + 1)
+        return self._masks[past, n]
 
-    def _attention(self, x: Tensor, b: dict, mask: Tensor) -> Tensor:
-        """All heads at once: q and v as (heads, n, dh), k as (heads, dh, n)
-        and ``mask`` as (heads, n, n)."""
+    def _attention(self, x: Tensor, b: dict, mask: Tensor, kv: list | None) -> Tensor:
+        """All heads at once: q as (heads, n, dh), k as (heads, dh, t), v as
+        (heads, t, dh) and ``mask`` as (heads, n, t). ``kv`` is the block's
+        cache slot or None: the ``[k, v]`` rows of the t - n earlier positions
+        (empty on the first call), to which the new rows are appended."""
         n, d = x.shape
         heads = self.cfg.heads
         dh = d // heads
-        q, k, v = (linear(x, b["w" + c].tensor, b["b" + c].tensor).reshape(n, heads, dh)
-                   for c in "qkv")
+        q, k, v = (linear(x, b["w" + c].tensor, b["b" + c].tensor) for c in "qkv")
+        if kv is not None:
+            if kv:
+                k, v = concat([kv[0], k]), concat([kv[1], v])
+            kv[:] = k, v
+        t = k.shape[0]
+        q, k, v = q.reshape(n, heads, dh), k.reshape(t, heads, dh), v.reshape(t, heads, dh)
         scores = q.transpose(1, 0, 2).matmul(k.transpose(1, 2, 0)).scale(1.0 / np.sqrt(dh)) + mask
         out = scores.softmax(axis=-1).matmul(v.transpose(1, 0, 2))
         return linear(out.transpose(1, 0, 2).reshape(n, d), b["wo"].tensor, b["bo"].tensor)
 
-    def forward(self, embeddings: Tensor) -> Tensor:
-        """Map (N, D_P) input rows to (N, vocab) logits, causally."""
+    def forward(self, embeddings: Tensor, cache: list | None = None) -> Tensor:
+        """Map (N, D_P) input rows to (N, vocab) logits, causally.
+
+        With ``cache`` (a list, empty on the first call) the rows continue the
+        sequence whose per-block keys and values the cache holds, and their
+        own keys and values are appended to it.
+        """
         if embeddings.ndim != 2 or embeddings.shape[1] != self.cfg.dim:
             raise ConfigurationError(
                 f"LM expects (N, {self.cfg.dim}) embeddings, got {embeddings.shape}")
         n = embeddings.shape[0]
-        if n > self.cfg.max_seq:
+        past = cache[0][0].shape[0] if cache else 0
+        if past + n > self.cfg.max_seq:
             raise SequenceLengthError(
-                f"sequence of {n} rows exceeds max_seq={self.cfg.max_seq}")
-        x = embeddings + self.pos.tensor.narrow(0, 0, n)
-        # expanded per call, not cached: decoding sees a new n at every step
-        mask = Tensor(np.broadcast_to(self._causal_mask(n), (self.cfg.heads, n, n)))
-        for b in self.blocks:
-            h = x + self._attention(layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor), b, mask)
+                f"sequence of {past + n} rows exceeds max_seq={self.cfg.max_seq}")
+        if cache == []:
+            cache.extend([] for _ in self.blocks)
+        x = embeddings + self.pos.tensor.narrow(0, past, n)
+        # expanded per call, not cached: decoding sees a new length at every step
+        mask = Tensor(np.broadcast_to(self._causal_mask(past, n),
+                                      (self.cfg.heads, n, past + n)))
+        for i, b in enumerate(self.blocks):
+            a = layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor)
+            h = x + self._attention(a, b, mask, None if cache is None else cache[i])
             m = layer_norm(h, b["ln2_g"].tensor, b["ln2_b"].tensor)
             m = linear(m, b["fc1_w"].tensor, b["fc1_b"].tensor).relu()
             m = linear(m, b["fc2_w"].tensor, b["fc2_b"].tensor)
@@ -194,20 +221,26 @@ class TinyCausalLM:
         return linear(x, self.head_w.tensor, self.head_b.tensor)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:
-        """Greedy decoding; ties break toward the lowest token id."""
+        """Greedy decoding; ties break toward the lowest token id.
+
+        Runs without a tape. The prefix goes through ``forward`` once, and
+        each later step feeds only the newest token's row against a KV cache
+        that lives for this call.
+        """
         if max_new < 1:
             raise ContractError(f"max_new must be >= 1, got {max_new}")
-        rows = Tensor(prefix.data.copy())
+        rows, cache = prefix, []
         out: list[int] = []
-        for _ in range(max_new):
-            if rows.shape[0] >= self.cfg.max_seq:
-                break
-            logits = self.forward(rows)
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == eos_id:
-                break
-            out.append(nxt)
-            rows = Tensor(np.concatenate([rows.data, self.embed.data[nxt:nxt + 1]]))
+        with no_grad():
+            for _ in range(max_new):
+                if prefix.shape[0] + len(out) >= self.cfg.max_seq:
+                    break
+                logits = self.forward(rows, cache)
+                nxt = int(np.argmax(logits.data[-1]))
+                if nxt == eos_id:
+                    break
+                out.append(nxt)
+                rows = Tensor(self.embed.data[nxt:nxt + 1])
         return out
 
 

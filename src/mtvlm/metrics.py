@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ContractError
+from .fileio import write_atomic
 
 VQA_CATEGORIES = ("presence", "comparison", "rural_urban")
 
@@ -241,6 +242,5 @@ def read_predictions(path: str | Path) -> list[dict]:
 
 
 def write_predictions(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+                               for row in rows))

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .data import ERA_LABELS
 from .errors import ContractError
+from .fileio import write_atomic
 from .packing import markers_for
 from .vision import VisualInput
 
@@ -112,16 +113,24 @@ class ClueCache:
         lines = [json.dumps({"input_hash": h, "p_g": p, "clue": c},
                             sort_keys=True, ensure_ascii=False)
                  for (h, p), c in sorted(self._entries.items())]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
+        write_atomic(path, "".join(line + "\n" for line in lines))
 
     @classmethod
     def load(cls, path: str | Path) -> "ClueCache":
+        """Read the rows ``save`` writes; blank lines are skipped."""
         cache = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ContractError(f"{path}: line {lineno}: {exc}") from exc
+            if not isinstance(row, dict) or not all(
+                    isinstance(row.get(k), str) for k in ("input_hash", "p_g", "clue")):
+                raise ContractError(f"{path}: line {lineno}: rows need to be objects "
+                                    "with string 'input_hash', 'p_g' and 'clue'")
             cache.put(row["input_hash"], row["p_g"], row["clue"])
         return cache
 

@@ -24,6 +24,7 @@ from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
 from .checkpoint import write_checkpoint
 from .data import MixedDataset, SampleRecord
 from .errors import ConfigurationError, ContractError, DivergenceError
+from .fileio import write_atomic
 from .lm import LMConfig, TinyCausalLM, Vocab
 from .vision import (EncoderConfig, PatchLinearEncoder, Projector,
                      embed_change, load_visual)
@@ -140,9 +141,7 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
 
 
 def write_log(path: str | Path, log: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in log:
-            fh.write(json.dumps(row) + "\n")
+    write_atomic(path, "".join(json.dumps(row) + "\n" for row in log))
 
 
 def _cyclic_batches(n: int, batch_size: int, steps: int):

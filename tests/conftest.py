@@ -11,6 +11,18 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+@pytest.fixture(autouse=True)
+def _tape_recording_is_restored():
+    """Fail a test that ends with tape recording off. A leaked ``no_grad``
+    would otherwise silently drop gradients in every later test."""
+    from mtvlm import autograd
+
+    yield
+    if not autograd._recording.get():
+        autograd._recording.set(True)
+        pytest.fail("test ended inside no_grad(): tape recording was left off")
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     """A small mixed synthetic corpus on disk, one subdir per run."""

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from gradcheck import gradcheck, scalarizer
 from mtvlm.autograd import (
     ParameterSet, Tensor, concat, conv2d, cosine_similarity, embedding,
-    layer_norm, linear, take,
+    layer_norm, linear, no_grad, take,
 )
 from mtvlm.errors import ContractError, ShapeError
 
@@ -250,6 +250,61 @@ def test_narrow_copies_its_slice():
     n = x.narrow(0, 0, 1)
     n.data[0, 0] = 42.0
     assert x.data[0, 0] == 0.0
+
+
+# -- no_grad ----------------------------------------------------------------------
+
+def every_op():
+    """One call of every op on fresh leaves that require gradients."""
+    r = rng_for(30)
+
+    def leaf(*shape):
+        return Tensor(r.normal(size=shape), requires_grad=True)
+
+    a, b, w, x = leaf(3, 4), leaf(3, 4), leaf(4, 2), leaf(2, 5, 5)
+    u, v, k, kb = leaf(6), leaf(6), leaf(3, 2, 3, 3), leaf(3)
+    return {
+        "add": lambda: a + b, "sub": lambda: a - b, "neg": lambda: -a,
+        "mul": lambda: a * b, "scale": lambda: a.scale(0.3),
+        "scale_tensor": lambda: a.scale(u.narrow(0, 0, 1).reshape(())),
+        "matmul": lambda: a @ w, "relu": lambda: a.relu(), "sum": lambda: a.sum(),
+        "reshape": lambda: a.reshape(2, 6), "transpose": lambda: a.transpose(),
+        "narrow": lambda: a.narrow(1, 1, 2), "softmax": lambda: a.softmax(axis=0),
+        "log_softmax": lambda: a.log_softmax(), "concat": lambda: concat([a, b]),
+        "linear": lambda: linear(a, w.transpose(), u.narrow(0, 0, 2)),
+        "conv2d": lambda: conv2d(x, k, kb, padding=1),
+        "cosine_similarity": lambda: cosine_similarity(u, v),
+        "embedding": lambda: embedding(a, [2, 0, 2]),
+        "layer_norm": lambda: layer_norm(a, u.narrow(0, 0, 4), v.narrow(0, 2, 4)),
+        "take": lambda: take(a, [0, 2], [3, 1]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(every_op()))
+def test_no_grad_records_nothing_and_computes_the_same(name):
+    op = every_op()[name]
+    taped = op()
+    assert taped.requires_grad
+    with no_grad():
+        quiet = op()
+    assert not quiet.requires_grad
+    assert quiet._parents == () and quiet._backward is None
+    assert quiet.data.tobytes() == taped.data.tobytes()
+
+
+def test_no_grad_restores_recording_on_exit_and_on_raise():
+    a = Tensor(np.ones(2), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (a * a).requires_grad      # an inner block keeps the outer one
+    assert (a * a).requires_grad
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("boom")
+    assert (a * a).requires_grad
+    ((a * a).sum()).backward()
+    assert a.grad.tolist() == [2.0, 2.0]
 
 
 # -- shape and contract errors ---------------------------------------------------

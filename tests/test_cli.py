@@ -275,6 +275,20 @@ def test_infer_missing_model_files_exit_2(tmp_path, capsys):
     assert "missing model file" in capsys.readouterr().err
 
 
+def test_infer_rejects_bad_vocab_file(tmp_path, capsys):
+    data, run = trained_run(tmp_path, steps=2)
+    for content in ("5", '["<pad>", "<bos>", "<eos>", 7]', '{"a": 1}', "[oops"):
+        (run / "vocab.json").write_text(content, encoding="utf-8")
+        code = main(["infer", "--task", "vqa",
+                     "--checkpoint", str(run / "model.ckpt"),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2, content
+        assert "vocab.json" in err and "Traceback" not in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+
 def test_infer_rejects_kindless_manifest(tmp_path, capsys):
     data, run = trained_run(tmp_path)
     code = main(["infer", "--task", "video",

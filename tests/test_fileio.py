@@ -1,0 +1,75 @@
+"""Every run file is replaced whole: a failed write leaves the old file."""
+
+import json
+
+import numpy as np
+import pytest
+
+from mtvlm import fileio
+from mtvlm.checkpoint import read_checkpoint, write_checkpoint
+from mtvlm.lm import Vocab
+from mtvlm.metrics import read_predictions, write_predictions
+from mtvlm.prompting import ClueCache
+from mtvlm.training import write_log
+
+
+def clue_cache(clue):
+    cache = ClueCache()
+    cache.put("h", "p", clue)
+    return cache
+
+
+# name -> (write(path, version), read(path)); versions 1 and 2 differ
+WRITERS = {
+    "checkpoint": (lambda p, i: write_checkpoint(p, {"w": np.full((3, 4), float(i))}),
+                   read_checkpoint),
+    "log": (lambda p, i: write_log(p, [{"step": s, "loss": 1.0 / (s + i)}
+                                       for s in range(5)]),
+            lambda p: [json.loads(line) for line in p.read_text().splitlines()]),
+    "vocab": (lambda p, i: Vocab(["<pad>", "<bos>", "<eos>", *["a", "b", "c"][:i]]).save(p),
+              Vocab.load),
+    "predictions": (lambda p, i: write_predictions(
+                        p, [{"id": str(k), "prediction": "yes " * i, "gold": "yes"}
+                            for k in range(4)]),
+                    read_predictions),
+    "clue_cache": (lambda p, i: clue_cache("clue " * i).save(p), ClueCache.load),
+}
+
+
+class HalfWrite:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
+    write, read = WRITERS[name]
+    path = tmp_path / "out"
+    write(path, 1)
+    before = path.read_bytes()
+    read(path)
+
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]   # no temp file left
+
+    monkeypatch.undo()
+    write(path, 2)
+    assert path.read_bytes() != before
+    read(path)
+

@@ -5,12 +5,15 @@ import pytest
 
 from gradcheck import gradcheck, tape_nodes
 from mtvlm.autograd import ParameterSet, Tensor
+from mtvlm.data import mix, synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, SequenceLengthError
 from mtvlm.lm import (
     BOS, CLUE_TABLES, EOS, PAD, LMConfig, TinyCausalLM, Vocab, clue_for_hash,
     stub_clue,
 )
 from mtvlm.packing import MARKER_CHANGE, MARKER_IMAGE, Marker
+from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
+from mtvlm.training import JOINT_FREEZE, TrainConfig, train_joint
 from mtvlm.vision import VisualInput
 
 
@@ -56,6 +59,17 @@ def test_vocab_save_load(tmp_path):
     again = Vocab.load(tmp_path / "vocab.json")
     assert again.tokens == v.tokens
     assert again.pad_id == v.pad_id
+
+
+@pytest.mark.parametrize("content", [
+    "5", "null", '"<pad>"', '{"tokens": ["<pad>", "<bos>", "<eos>"]}',
+    '["<pad>", "<bos>", "<eos>", 7]', '["<pad>", "<bos>", "<eos>", null]',
+    '["<pad>", "<bos>"', ""])
+def test_vocab_load_rejects_other_json(tmp_path, content):
+    path = tmp_path / "vocab.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ContractError, match="vocab.json"):
+        Vocab.load(path)
 
 
 def test_tokenize_prompt_slots():
@@ -216,6 +230,114 @@ def test_generate_validation():
     model, _ = tiny_model()
     with pytest.raises(ContractError):
         model.generate(Tensor(np.zeros((1, 8))), max_new=0, eos_id=2)
+
+
+def rerun_prefix_generate(model, prefix, max_new, eos_id):
+    """Greedy decoding that re-runs the whole prefix for every token: the
+    reference the cached decoder must agree with token for token."""
+    rows = prefix.data.copy()
+    out = []
+    for _ in range(max_new):
+        if rows.shape[0] >= model.cfg.max_seq:
+            break
+        nxt = int(np.argmax(model.forward(Tensor(rows)).data[-1]))
+        if nxt == eos_id:
+            break
+        out.append(nxt)
+        rows = np.concatenate([rows, model.embed.data[nxt:nxt + 1]])
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A pipeline tuned for 80 steps on criterion 08's corpus shape, and
+    its 32 records: answers of one and of three tokens, not all right."""
+    data = tmp_path_factory.mktemp("decode")
+    records = (synth_generate("single", 12, 11, data)
+               + synth_generate("pair", 10, 12, data)
+               + synth_generate("video", 10, 13, data))
+    model = MultiTemporalModel.build(PipelineConfig(seed=0), records, data)
+    train_joint(model, mix([records], 0),
+                TrainConfig(total_steps=80, batch_size=8, max_lr=3e-3, seed=0,
+                            freeze=JOINT_FREEZE))
+    return model, records
+
+
+@pytest.mark.parametrize("stop", ["eos", "never"])
+def test_cached_decoding_matches_rerun_prefix_reference(trained, stop):
+    """Decoding that stops at <eos> (answers of one to three tokens), and
+    decoding that never stops (24 tokens each), where later steps depend on
+    every position and key cached so far."""
+    model, records = trained
+    eos_id = model.vocab.eos_id if stop == "eos" else -1
+    lengths = []
+    for r in records:
+        prefix = model.packed_example(r, [])[0].embeddings
+        got = model.lm.generate(prefix, model.cfg.gen_max_new, eos_id)
+        assert got == rerun_prefix_generate(model.lm, prefix, model.cfg.gen_max_new,
+                                            eos_id), r.id
+        lengths.append(len(got))
+    if stop == "eos":
+        assert min(lengths) >= 1 and max(lengths) >= 3
+    else:
+        assert set(lengths) == {model.cfg.gen_max_new}
+
+
+@pytest.mark.parametrize("chunks", [(5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+                                    (1, 3, 1, 6, 5)])
+def test_cached_logits_match_full_forward(chunks):
+    model, params = tiny_model(seed=4)
+    rng = np.random.default_rng(10)
+    for p in params.values():                # weights large enough to matter
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+    rows = rng.normal(size=(sum(chunks), 8))
+    cache = []
+    first = model.forward(Tensor(rows[:chunks[0]]), cache)
+    assert first.data.tobytes() == model.forward(Tensor(rows[:chunks[0]])).data.tobytes()
+    end = chunks[0]
+    for n in chunks[1:]:
+        got = model.forward(Tensor(rows[end:end + n]), cache).data
+        end += n
+        full = model.forward(Tensor(rows[:end])).data
+        np.testing.assert_allclose(got, full[-n:], rtol=0, atol=1e-12)
+    assert all(k.shape == v.shape == (end, 8) for k, v in cache)
+
+
+def test_cached_forward_respects_max_seq():
+    model, _ = tiny_model()
+    cache = []
+    model.forward(Tensor(np.zeros((14, 8))), cache)
+    with pytest.raises(SequenceLengthError, match="17 rows"):
+        model.forward(Tensor(np.zeros((3, 8))), cache)
+    assert all(k.shape[0] == 14 for k, _ in cache)
+    assert model.forward(Tensor(np.zeros((2, 8))), cache).shape == (2, 11)
+    with pytest.raises(SequenceLengthError):
+        model.forward(Tensor(np.zeros((1, 8))), cache)
+
+
+def test_decoding_keeps_one_mask_row_per_step():
+    model, _ = tiny_model(max_seq=64)
+    out = model.generate(Tensor(np.zeros((40, 8))), max_new=20, eos_id=99)
+    assert len(out) == 20
+    rows = sum(m.shape[0] * m.shape[1] for m in model._masks.values())
+    assert rows == 40 * 40 + sum(range(41, 60))      # not a 41..59-square each
+
+
+def test_generate_logits_carry_no_tape(monkeypatch):
+    model, _ = tiny_model(seed=2)
+    seen = []
+    forward = TinyCausalLM.forward
+
+    def spy(self, *args, **kwargs):
+        seen.append(forward(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(TinyCausalLM, "forward", spy)
+    prefix = Tensor(np.random.default_rng(1).normal(size=(3, 8)), requires_grad=True)
+    out = model.generate(prefix, max_new=4, eos_id=99)
+    assert not any(t.requires_grad or t._parents for t in seen)
+    assert len(out) == 4
+    assert [t.shape[0] for t in seen] == [3, 1, 1, 1]    # prefix once, then one row
 
 
 # -- gradients through the stack ----------------------------------------------------

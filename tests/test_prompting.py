@@ -120,6 +120,19 @@ def test_clue_cache_empty_save(tmp_path):
     assert len(ClueCache.load(p)) == 0
 
 
+@pytest.mark.parametrize("line", [
+    "{}", "[]", '"clue"', "{broken", '{"input_hash": "h", "p_g": "p"}',
+    '{"input_hash": ["h"], "p_g": "p", "clue": "c"}',
+    '{"input_hash": "h", "p_g": 3, "clue": "c"}',
+    '{"input_hash": "h", "p_g": "p", "clue": null}'])
+def test_clue_cache_load_rejects_bad_rows(tmp_path, line):
+    path = tmp_path / "clues.jsonl"
+    good = '{"clue": "c", "input_hash": "h", "p_g": "p"}'
+    path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ContractError, match="line 3"):
+        ClueCache.load(path)
+
+
 def test_clue_cache_thread_hammer():
     cache = ClueCache()
 
