@@ -12,13 +12,14 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .data import (ERA_LABELS, SYNTH_VIDEO_CLASSES, load_manifest, mix,
                    save_manifest, synth_generate)
 from .errors import ConfigurationError, DivergenceError
+from .fileio import write_atomic
 from .lm import Vocab
 from .metrics import (CaptionEntry, VQARecord, cider_d, classification_report,
                       read_predictions, render_classification_table,
@@ -28,74 +29,55 @@ from .pipeline import MultiTemporalModel, PipelineConfig
 from .training import (JOINT_FREEZE, TrainConfig, lr_at,
                        pretrain_change_module, train_joint, write_log)
 
+# RunConfig is the union of the TrainConfig and PipelineConfig fields, hints
+# and defaults. The CLI sets two defaults of its own: the joint-tuning freeze
+# list, and seed None so that resolved_seed can fall back to URSK_SEED.
+_HINTS = {name: hint for cls in (TrainConfig, PipelineConfig)
+          for name, hint in typing.get_type_hints(cls).items() if name != "seed"}
+_HINTS["seed"] = int | None
+_DEFAULTS = {f.name: f.default for cls in (TrainConfig, PipelineConfig)
+             for f in dataclasses.fields(cls)} | {"freeze": JOINT_FREEZE, "seed": None}
 
-@dataclass
-class RunConfig:
-    """Flat experiment config: optimization, model dims, and toggles."""
-
-    max_lr: float = 1e-4
-    min_lr: float = 0.0
-    warmup_ratio: float = 0.03
-    total_steps: int = 3858
-    batch_size: int = 128
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float | None = None
-    freeze: tuple[str, ...] = JOINT_FREEZE
-    patch: int = 8
-    d_v: int = 16
-    dim: int = 64
-    lm_layers: int = 2
-    lm_heads: int = 4
-    max_seq: int = 512
-    video_frames: int = 4
-    use_change_module: bool = True
-    use_clues: bool = True
-    gen_max_new: int = 24
-    seed: int | None = None
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [(name, hint, _DEFAULTS[name]) for name, hint in _HINTS.items()],
+    namespace={"__module__": __name__,
+               "__doc__": "Flat experiment config: optimization, model dims, and toggles."})
 
 
-_FLOAT_FIELDS = {"max_lr", "min_lr", "warmup_ratio", "weight_decay",
-                 "beta1", "beta2", "eps", "grad_clip"}
-_INT_FIELDS = {"total_steps", "batch_size", "patch", "d_v", "dim", "lm_layers",
-               "lm_heads", "max_seq", "video_frames", "gen_max_new", "seed"}
-_BOOL_FIELDS = {"use_change_module", "use_clues"}
+def _kind(name: str) -> tuple[object, bool]:
+    """A field's hint without its ``| None``, and whether it takes None."""
+    args = typing.get_args(_HINTS[name])
+    return (args[0], True) if type(None) in args else (_HINTS[name], False)
 
 
 def _coerce(name: str, raw: str):
-    if name in ("grad_clip", "seed") and raw.lower() in ("none", "null"):
+    kind, nullable = _kind(name)
+    if nullable and raw.lower() in ("none", "null"):
         return None
-    if name == "freeze":
+    if kind == tuple[str, ...]:
         return tuple(part for part in raw.split(",") if part)
-    if name in _BOOL_FIELDS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{name} expects true/false, got {raw!r}")
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    raise ConfigurationError(f"unknown config field {name!r}")
+    if kind is bool:
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ConfigurationError(f"{name} expects true/false, got {raw!r}")
+        return raw.lower() in ("true", "1", "yes")
+    return kind(raw)        # int or float
 
 
 def _from_json(name: str, value):
     """A config-file value as RunConfig holds it, if its JSON type fits the field."""
-    if value is None and name in ("grad_clip", "seed"):
+    kind, nullable = _kind(name)
+    if value is None and nullable:
         return None
-    if name == "freeze":
+    if kind == tuple[str, ...]:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    elif name in _BOOL_FIELDS:
+    elif kind is bool:
         ok = isinstance(value, bool)
     else:
-        kinds = int if name in _INT_FIELDS else (int, float)
+        kinds = int if kind is int else (int, float)
         ok = isinstance(value, kinds) and not isinstance(value, bool)
     if not ok:
         raise ConfigurationError(f"config field {name} cannot be {value!r}")
-    return tuple(value) if name == "freeze" else value
+    return tuple(value) if kind == tuple[str, ...] else value
 
 
 def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
@@ -141,22 +123,18 @@ def resolved_seed(cfg: RunConfig) -> int:
     return 0
 
 
+def _split(cls, cfg: RunConfig):
+    """``cls`` from its own fields of ``cfg``, with the seed resolved."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)}
+    return cls(**{**values, "seed": resolved_seed(cfg)})
+
+
 def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(max_lr=cfg.max_lr, min_lr=cfg.min_lr,
-                       warmup_ratio=cfg.warmup_ratio,
-                       total_steps=cfg.total_steps, batch_size=cfg.batch_size,
-                       seed=resolved_seed(cfg), freeze=tuple(cfg.freeze),
-                       weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                       beta2=cfg.beta2, eps=cfg.eps, grad_clip=cfg.grad_clip)
+    return _split(TrainConfig, cfg)
 
 
 def pipeline_config(cfg: RunConfig) -> PipelineConfig:
-    return PipelineConfig(patch=cfg.patch, d_v=cfg.d_v, dim=cfg.dim,
-                          lm_layers=cfg.lm_layers, lm_heads=cfg.lm_heads,
-                          max_seq=cfg.max_seq, video_frames=cfg.video_frames,
-                          use_change_module=cfg.use_change_module,
-                          use_clues=cfg.use_clues,
-                          gen_max_new=cfg.gen_max_new, seed=resolved_seed(cfg))
+    return _split(PipelineConfig, cfg)
 
 
 # -- argument plumbing -----------------------------------------------------------
@@ -319,8 +297,7 @@ def cmd_train(args) -> int:
                       log_path=out / "train_log.jsonl",
                       checkpoint_path=out / "model.ckpt")
     model.vocab.save(out / "vocab.json")
-    (out / "config.json").write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2), encoding="utf-8")
+    write_atomic(out / "config.json", json.dumps(dataclasses.asdict(cfg), indent=2))
     if log:
         print(f"train: step {log[-1]['step']} loss {log[-1]['loss']:.4f}")
     return 0
@@ -404,9 +381,8 @@ def cmd_eval(args) -> int:
         report = classification_report(pairs, _labels_for(args.labels),
                                        strict=not args.lenient)
         text = render_classification_table(report)
-    (out / "report.json").write_text(json.dumps(report, indent=2),
-                                     encoding="utf-8")
-    (out / "report.txt").write_text(text + "\n", encoding="utf-8")
+    write_atomic(out / "report.json", json.dumps(report, indent=2))
+    write_atomic(out / "report.txt", text + "\n")
     print(text)
     return 0
 
@@ -428,7 +404,7 @@ def cmd_inspect_pack(args) -> int:
     dump["prompt_tokens"] = prompt_len
     text = json.dumps(dump, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -439,7 +415,7 @@ def cmd_lr_curve(args) -> int:
     lines = ["step,lr"]
     for step in range(cfg.total_steps + 1):
         lines.append(f"{step},{lr_at(step, cfg)!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {cfg.total_steps + 1} schedule points to {args.out}")
     return 0
 
@@ -538,10 +514,9 @@ def cmd_ablate(args) -> int:
                        for k in runs[0]}
                 for name, runs in per_seed.items()}
     report = {"seeds": args.seeds, "per_seed": per_seed, "mean": averaged}
-    (out / "ablation.json").write_text(json.dumps(report, indent=2),
-                                       encoding="utf-8")
+    write_atomic(out / "ablation.json", json.dumps(report, indent=2))
     text = _render_ablation(averaged)
-    (out / "ablation.txt").write_text(text + "\n", encoding="utf-8")
+    write_atomic(out / "ablation.txt", text + "\n")
     print(text)
     return 0
 

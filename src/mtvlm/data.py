@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
+from .fileio import write_atomic
 from .vision import write_pixels
 
 # Video scene label set, in the order the classification report uses.
@@ -133,8 +134,7 @@ def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[Samp
 
 
 def save_manifest(path: str | Path, records: list[SampleRecord]) -> None:
-    Path(path).write_text("\n".join(r.to_json() for r in records) + "\n",
-                          encoding="utf-8")
+    write_atomic(path, "\n".join(r.to_json() for r in records) + "\n")
 
 
 # -- mixing -------------------------------------------------------------------

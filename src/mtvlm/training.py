@@ -61,6 +61,20 @@ class TrainConfig:
         if self.total_steps > 0 and self.warmup_steps >= self.total_steps:
             raise ConfigurationError(
                 f"warmup ({self.warmup_steps} steps) spans the whole run")
+        # AdamW and clipping run on without complaint on these, but train wrong:
+        # a negative clip flips every gradient, a zero one zeroes them all
+        if self.grad_clip is not None and not 0.0 < self.grad_clip < math.inf:
+            raise ConfigurationError(
+                f"grad_clip must be finite and > 0, got {self.grad_clip}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigurationError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     @property
     def warmup_steps(self) -> int:

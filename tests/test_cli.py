@@ -2,17 +2,20 @@
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
+from mtvlm import fileio
 from mtvlm.checkpoint import read_checkpoint
 from mtvlm.cli import (RunConfig, load_run_config, main, pipeline_config,
                        resolved_seed, train_config)
 from mtvlm.data import load_manifest, mix
 from mtvlm.errors import ConfigurationError
 from mtvlm.metrics import write_predictions
-from mtvlm.pipeline import MultiTemporalModel
-from mtvlm.training import lr_at
+from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
+from mtvlm.training import JOINT_FREEZE, TrainConfig, lr_at
+from test_fileio import HalfWrite
 
 # small dims keep in-process CLI runs near-instant
 TINY = ("d_v=4", "dim=16", "lm_layers=1", "lm_heads=2", "max_seq=160", "seed=0")
@@ -98,6 +101,84 @@ def test_config_file_written_by_train_loads(tmp_path):
     assert load_run_config(str(path), []) == cfg
     path.write_text(json.dumps(dataclasses.asdict(RunConfig())))
     assert load_run_config(str(path), []) == RunConfig()
+
+
+# A non-default value per RunConfig field, valid for TrainConfig/PipelineConfig
+FIELD_VALUES = {
+    "max_lr": 0.5, "min_lr": 1e-05, "warmup_ratio": 0.1, "total_steps": 100,
+    "batch_size": 8, "weight_decay": 0.1, "beta1": 0.8, "beta2": 0.99,
+    "eps": 1e-06, "grad_clip": 2.5, "freeze": ("lm.", "encoder."), "patch": 4,
+    "d_v": 8, "dim": 32, "lm_layers": 3, "lm_heads": 2, "max_seq": 256,
+    "video_frames": 6, "use_change_module": False, "use_clues": False,
+    "gen_max_new": 12, "seed": 7,
+}
+
+
+def test_run_config_fields_are_derived():
+    run = {f.name: f for f in dataclasses.fields(RunConfig)}
+    hints = typing.get_type_hints(RunConfig)
+    assert sorted(run) == sorted(FIELD_VALUES)
+    for cls in (TrainConfig, PipelineConfig):
+        cls_hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name not in ("freeze", "seed"):
+                assert hints[f.name] == cls_hints[f.name], f.name
+                assert run[f.name].default == f.default, f.name
+    assert hints["freeze"] == typing.get_type_hints(TrainConfig)["freeze"]
+    assert RunConfig.freeze == JOINT_FREEZE
+    assert hints["seed"] == int | None and RunConfig.seed is None
+    supported = (bool, int, float, tuple[str, ...])
+    for name, hint in hints.items():       # the kinds _coerce/_from_json read
+        args = typing.get_args(hint)
+        assert (args[0] if type(None) in args else hint) in supported, name
+
+
+def test_run_config_splits_into_train_and_pipeline_configs(monkeypatch):
+    monkeypatch.delenv("URSK_SEED", raising=False)
+    assert train_config(RunConfig()) == TrainConfig(freeze=JOINT_FREEZE)
+    assert pipeline_config(RunConfig()) == PipelineConfig()
+    cfg = RunConfig(**FIELD_VALUES)
+    for target in (train_config(cfg), pipeline_config(cfg)):
+        for f in dataclasses.fields(target):
+            assert getattr(target, f.name) == FIELD_VALUES[f.name], f.name
+    monkeypatch.setenv("URSK_SEED", "11")
+    assert train_config(RunConfig()).seed == pipeline_config(RunConfig()).seed == 11
+
+
+def _override_text(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return ",".join(value) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_VALUES))
+def test_every_field_round_trips(tmp_path, name):
+    value = FIELD_VALUES[name]
+    want = dataclasses.replace(RunConfig(), **{name: value})
+    assert load_run_config(None, [f"{name}={_override_text(value)}"]) == want
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({name: value}))
+    assert load_run_config(str(path), []) == want
+    target = train_config(want) if name in TrainConfig.__dataclass_fields__ \
+        else pipeline_config(want)
+    assert getattr(target, name) == value
+
+
+# config.json as the hand-written RunConfig of earlier versions wrote it
+PARENT_KEY_ORDER = (
+    "max_lr", "min_lr", "warmup_ratio", "total_steps", "batch_size",
+    "weight_decay", "beta1", "beta2", "eps", "grad_clip", "freeze", "patch",
+    "d_v", "dim", "lm_layers", "lm_heads", "max_seq", "video_frames",
+    "use_change_module", "use_clues", "gen_max_new", "seed",
+)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(**FIELD_VALUES)])
+def test_config_file_in_parent_key_order_loads(tmp_path, cfg):
+    values = dataclasses.asdict(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({k: values[k] for k in PARENT_KEY_ORDER}, indent=2))
+    assert load_run_config(str(path), []) == cfg
 
 
 def test_seed_resolution(monkeypatch):
@@ -430,6 +511,27 @@ def test_lr_curve_zero_steps(tmp_path):
                  "--override", "max_lr=0.2", "--override", "total_steps=0"])
     assert code == 0
     assert out.read_text().splitlines() == ["step,lr", "0,0.2"]
+
+
+def test_lr_curve_rejects_negative_grad_clip(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    code = main(["lr-curve", "--out", str(out), "--override", "grad_clip=-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grad_clip" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_lr_curve_failed_write_leaves_previous_csv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["lr-curve", "--out", str(out), "--override", "total_steps=10"]) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: HalfWrite(open(*a, **k)),
+                        raising=False)
+    assert main(["lr-curve", "--out", str(out), "--override", "total_steps=20"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 # -- ablate -------------------------------------------------------------------------------

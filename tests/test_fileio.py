@@ -7,10 +7,17 @@ import pytest
 
 from mtvlm import fileio
 from mtvlm.checkpoint import read_checkpoint, write_checkpoint
+from mtvlm.data import SampleRecord, load_manifest, save_manifest
 from mtvlm.lm import Vocab
 from mtvlm.metrics import read_predictions, write_predictions
 from mtvlm.prompting import ClueCache
 from mtvlm.training import write_log
+
+
+def manifest(n):
+    return [SampleRecord(id=f"r{k}", dataset_tag="geochat", kind="single",
+                         visual_refs=["a.f64"], instruction="Say hi.", target="hi")
+            for k in range(n)]
 
 
 def clue_cache(clue):
@@ -33,6 +40,7 @@ WRITERS = {
                             for k in range(4)]),
                     read_predictions),
     "clue_cache": (lambda p, i: clue_cache("clue " * i).save(p), ClueCache.load),
+    "manifest": (lambda p, i: save_manifest(p, manifest(2 * i)), load_manifest),
 }
 
 

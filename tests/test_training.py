@@ -73,6 +73,26 @@ def test_train_config_validation():
         TrainConfig(total_steps=10, warmup_ratio=0.95)
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(grad_clip=-1.0), "grad_clip"), (dict(grad_clip=0.0), "grad_clip"),
+    (dict(grad_clip=math.nan), "grad_clip"), (dict(grad_clip=math.inf), "grad_clip"),
+    (dict(beta1=1.5), "beta1"), (dict(beta1=1.0), "beta1"), (dict(beta1=-0.1), "beta1"),
+    (dict(beta2=1.0), "beta2"), (dict(beta2=math.nan), "beta2"),
+    (dict(eps=-1.0), "eps"), (dict(eps=0.0), "eps"), (dict(eps=math.inf), "eps"),
+    (dict(weight_decay=-3.0), "weight_decay"),
+    (dict(weight_decay=math.nan), "weight_decay"),
+    (dict(weight_decay=math.inf), "weight_decay"),
+])
+def test_train_config_rejects_optimizer_values_that_break_training(bad, match):
+    with pytest.raises(ConfigurationError, match=match):
+        TrainConfig(**bad)
+
+
+def test_train_config_accepts_optimizer_edge_values():
+    TrainConfig(grad_clip=1e-6, beta1=0.0, beta2=0.0, eps=1e-30, weight_decay=0.0)
+    TrainConfig(max_lr=math.nan)        # the CLI's divergence test relies on it
+
+
 # -- loss ------------------------------------------------------------------------
 
 def test_cross_entropy_uniform_logits():
