@@ -342,12 +342,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty: input {x.shape}, k={k}, padding={padding}")
 
+    # im2col: one (C*K*K, ho*wo) column matrix, so each direction is a matmul
     xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((o, ho, wo))
-    for i in range(k):
-        for j in range(k):
-            # (O, C) x (C, ho, wo) contracted over C
-            out += np.tensordot(weight.data[:, :, i, j], xp[:, i:i + ho, j:j + wo], axes=([1], [0]))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)
+    w2 = weight.data.reshape(o, c * k * k)
+    out = (w2 @ cols).reshape(o, ho, wo)
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -357,20 +357,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
         parents.append(bias)
 
     def bw(g):
-        dw = np.zeros_like(weight.data)
+        g2 = g.reshape(o, ho * wo)
+        dcols = (w2.T @ g2).reshape(c, k, k, ho, wo)
         dxp = np.zeros_like(xp)
         for i in range(k):
             for j in range(k):
-                patch = xp[:, i:i + ho, j:j + wo]
-                dw[:, :, i, j] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
-                dxp[:, i:i + ho, j:j + wo] += np.tensordot(weight.data[:, :, i, j], g,
-                                                           axes=([0], [0]))
-        if padding:
-            dx = dxp[:, padding:-padding, padding:-padding]
-        else:
-            dx = dxp
-        _send(x, dx)
-        _send(weight, dw)
+                dxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
+        _send(x, dxp[:, padding:padding + h, padding:padding + w])
+        _send(weight, g2 @ cols.T)
         if bias is not None:
             _send(bias, g.sum(axis=(1, 2)))
 
@@ -378,41 +372,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
 
 
 def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """Cosine of two 1-d vectors with norms clamped below at ``eps``.
+    """Cosine of two 1-d vectors, or row-wise cosines of two (L, D) matrices.
 
-    The denominator is computed as sqrt(|a|^2 * |b|^2) rather than as a
-    product of two square roots: for bitwise-identical inputs that makes
-    the result exactly 1.0 (sqrt(s*s) == s in IEEE double), which the
+    Two vectors give a 0-d result and two matrices an (L,) one; a vector is
+    handled as a single row. Each row's norms are clamped below at ``eps``.
+    The dot product and both squared norms come from the same reduction,
+    and an unclamped denominator is sqrt(|a|^2 * |b|^2) rather than a
+    product of two square roots: for bitwise-identical rows that makes the
+    result exactly 1.0 (sqrt(s*s) == s in IEEE double), which the
     identity-collapse property downstream relies on.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"cosine_similarity needs 1-d vectors, got {a.shape} and {b.shape}")
+    if a.ndim not in (1, 2) or b.ndim != a.ndim:
+        raise ShapeError(f"cosine_similarity needs two 1-d vectors or two (L, D) "
+                         f"matrices, got {a.shape} and {b.shape}")
     _same_shape("cosine_similarity", a, b)
-    dot = float(a.data @ b.data)
-    sa = float(a.data @ a.data)
-    sb = float(b.data @ b.data)
+    a2 = a.data.reshape(-1, a.shape[-1])
+    b2 = b.data.reshape(-1, b.shape[-1])
+    dot = np.einsum("ij,ij->i", a2, b2)
+    sa = np.einsum("ij,ij->i", a2, a2)
+    sb = np.einsum("ij,ij->i", b2, b2)
     clamp_a = np.sqrt(sa) <= eps
     clamp_b = np.sqrt(sb) <= eps
-    if clamp_a or clamp_b:
-        denom = max(np.sqrt(sa), eps) * max(np.sqrt(sb), eps)
-    else:
-        denom = float(np.sqrt(sa * sb))
+    denom = np.where(clamp_a | clamp_b,
+                     np.maximum(np.sqrt(sa), eps) * np.maximum(np.sqrt(sb), eps),
+                     np.sqrt(sa * sb))
     c = dot / denom
+    # a clamped norm is a constant, so its branch contributes nothing
+    ka = np.divide(c, sa, out=np.zeros_like(c), where=~clamp_a)[:, None]
+    kb = np.divide(c, sb, out=np.zeros_like(c), where=~clamp_b)[:, None]
 
     def bw(g):
-        g = float(g)
-        da = b.data / denom
-        db = a.data / denom
-        # a clamped norm is a constant, so its branch contributes nothing
-        if not clamp_a:
-            da = da - c * a.data / sa
-        if not clamp_b:
-            db = db - c * b.data / sb
-        _send(a, g * da)
-        _send(b, g * db)
+        g = g.reshape(-1, 1)
+        _send(a, g * (b2 / denom[:, None] - ka * a2))
+        _send(b, g * (a2 / denom[:, None] - kb * b2))
 
-    return _op(np.asarray(c), (a, b), bw)
+    return _op(c.reshape(a.shape[:-1]), (a, b), bw)
 
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:

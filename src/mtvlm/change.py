@@ -112,15 +112,10 @@ def spatial_enhance(d: DualTimeFeatures, p: SpatialEnhanceParams) -> Tensor:
     if p.w_embed.data.shape != (2 * d_v,):
         raise ShapeError(
             f"w_embed has {p.w_embed.data.shape}, features need ({2 * d_v},)")
-    one = Tensor(np.asarray(1.0))
-    rows = []
-    for pos in range(l_v):
-        a = d.f1.narrow(0, pos, 1).reshape(d_v)
-        b = d.f2.narrow(0, pos, 1).reshape(d_v)
-        dist = one - cosine_similarity(a, b)
-        enhanced = p.w_embed.tensor.scale(dist) + concat([a, b], axis=0)
-        rows.append(enhanced.reshape(1, 2 * d_v))
-    return tokens_to_grid(concat(rows, axis=0), d.grid)
+    dist = (Tensor(np.ones(l_v)) - cosine_similarity(d.f1, d.f2)).reshape(l_v, 1)
+    embedded = dist @ p.w_embed.tensor.reshape(1, 2 * d_v)
+    enhanced = embedded + concat([d.f1, d.f2], axis=1)
+    return tokens_to_grid(enhanced, d.grid)
 
 
 def fuse(enhanced: Tensor, p: FusionParams) -> ChangeFeatureMap:

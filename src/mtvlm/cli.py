@@ -80,9 +80,11 @@ def _from_json(name: str, value):
     return tuple(value) if kind == tuple[str, ...] else value
 
 
-def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
-    """Defaults, then the JSON file, then k=v override flags."""
-    values = dataclasses.asdict(RunConfig())
+def load_run_config(path: str | None, overrides: list[str],
+                    base: dict | None = None) -> RunConfig:
+    """Defaults (with a command's own ``base`` values over them), then the
+    JSON file, then k=v override flags."""
+    values = dataclasses.asdict(RunConfig()) | (base or {})
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -459,11 +461,13 @@ def _train_eval_once(cfg: RunConfig, train_records, eval_by_kind, data_dir,
             for kind, recs in eval_by_kind.items() if recs}
 
 
+# the battery's recipe; a config file or --override still sets any of these
+ABLATE_RECIPE = {"batch_size": 4, "max_lr": 3e-3, "warmup_ratio": 0.05}
+
+
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, args.override)
-    cfg = dataclasses.replace(cfg, total_steps=args.steps, batch_size=4,
-                              max_lr=3e-3 if cfg.max_lr == RunConfig.max_lr else cfg.max_lr,
-                              warmup_ratio=0.05)
+    cfg = load_run_config(args.config, args.override, base=ABLATE_RECIPE)
+    cfg = dataclasses.replace(cfg, total_steps=args.steps)
     wanted = [c for c in args.configs.split(",") if c]
     known = ("joint", "individual", "no-change", "no-clue")
     bad = [c for c in wanted if c not in known]

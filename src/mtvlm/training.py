@@ -175,7 +175,9 @@ def _finite_or_raise(value: float, step: int) -> None:
 
 class _CaptionStub:
     """Change module + projector + single-layer caption head over frozen
-    encoder features. Lives only for the duration of pretraining."""
+    encoder features. Lives only for the duration of pretraining, and so
+    does its cache of each record's encoded frames: the encoder is frozen,
+    so they are constants of the run."""
 
     def __init__(self, records: list[SampleRecord], seed: int, *,
                  patch: int, d_v: int, dim: int, heads: int, max_seq: int):
@@ -192,13 +194,16 @@ class _CaptionStub:
                                  len(self.vocab), self.params, rng,
                                  prefix="caphead.")
         self.params.freeze(("encoder.",))
+        self._features: dict[tuple[str, ...], DualTimeFeatures] = {}
 
     def change_map(self, record: SampleRecord, base_dir) -> ChangeFeatureMap:
-        vi = load_visual(record.kind, record.visual_refs, base_dir)
-        feats = self.encoder.encode(vi)
-        dual = DualTimeFeatures(f1=feats.per_frame[0], f2=feats.per_frame[1],
-                                grid=feats.grid)
-        return change_extract(dual, self.enhance, self.fusion)
+        key = tuple(record.visual_refs)
+        if key not in self._features:
+            vi = load_visual(record.kind, record.visual_refs, base_dir)
+            feats = self.encoder.encode(vi)
+            self._features[key] = DualTimeFeatures(
+                f1=feats.per_frame[0], f2=feats.per_frame[1], grid=feats.grid)
+        return change_extract(self._features[key], self.enhance, self.fusion)
 
     def caption_loss(self, record: SampleRecord, base_dir) -> Tensor:
         unit = embed_change(self.change_map(record, base_dir), self.projector)

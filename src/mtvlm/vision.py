@@ -24,6 +24,7 @@ import numpy as np
 from .autograd import ParameterSet, Tensor, concat, linear
 from .change import ChangeFeatureMap, grid_to_tokens
 from .errors import ConfigurationError, ContractError, ShapeError
+from .fileio import write_atomic
 
 KINDS = ("single", "pair", "video")
 
@@ -199,15 +200,16 @@ def sample_frames(frames: np.ndarray, k: int) -> np.ndarray:
 # -- pixel fixtures -----------------------------------------------------------
 
 def write_pixels(path: str | Path, frames: np.ndarray) -> None:
-    """Raw little-endian f64 dump plus a JSON sidecar with the shape."""
+    """Raw little-endian f64 dump plus a JSON sidecar with the shape, each
+    replaced whole (the payload first), so neither is left truncated."""
     path = Path(path)
     frames = np.ascontiguousarray(frames, dtype="<f8")
     if frames.ndim != 4 or frames.shape[1] != 3:
         raise ShapeError(f"pixel files hold (k, 3, h, w), got {frames.shape}")
     k, _, h, w = frames.shape
-    path.write_bytes(frames.tobytes())
+    write_atomic(path, frames.tobytes())
     sidecar = {"k": int(k), "channels": 3, "h": int(h), "w": int(w)}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True))
+    write_atomic(path.with_suffix(".json"), json.dumps(sidecar, sort_keys=True))
 
 
 def read_pixels(path: str | Path) -> np.ndarray:

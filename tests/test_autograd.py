@@ -159,6 +159,104 @@ def test_cosine_bounded(seed):
     assert abs(c) <= 1.0 + 1e-12
 
 
+def cosine_rows_case(r):
+    """Five (a, b) row pairs: two generic, one identical pair, one with a
+    zero (clamped) row in b and one with a zero row in a. The zero rows are
+    constants, because finite differences would leave the clamp region."""
+    a_top = Tensor(r.normal(size=(4, 5)))
+    b_top = Tensor(np.concatenate([r.normal(size=(2, 5)), a_top.data[2:3]]))
+    b_last = Tensor(r.normal(size=(1, 5)))
+    zero = Tensor(np.zeros((1, 5)))
+
+    def rows():
+        return (concat([a_top, zero], axis=0),
+                concat([b_top, zero, b_last], axis=0))
+
+    return rows, [a_top, b_top, b_last]
+
+
+def test_grad_cosine_similarity_rows():
+    r = rng_for(13)
+    rows, leaves = cosine_rows_case(r)
+    a, b = rows()
+    c = cosine_similarity(a, b)
+    assert c.shape == (5,)
+    assert c.data[2] == 1.0 and c.data[3] == 0.0 and c.data[4] == 0.0
+    reduce = scalarizer((5,), r)
+    gradcheck(lambda: reduce(cosine_similarity(*rows())), leaves)
+
+
+def test_cosine_rows_match_the_vector_op_row_by_row():
+    # every row, clamped ones included, gets what the 1-d op gives it
+    r = rng_for(14)
+    rows, _ = cosine_rows_case(r)
+    a, b = (Tensor(t.data, requires_grad=True) for t in rows())
+    g = r.normal(size=5)
+    c = cosine_similarity(a, b)
+    (c * Tensor(g)).sum().backward()
+    for i in range(5):
+        u = Tensor(a.data[i], requires_grad=True)
+        v = Tensor(b.data[i], requires_grad=True)
+        ci = cosine_similarity(u, v)
+        ci.scale(g[i]).backward()
+        assert c.data[i] == ci.item()
+        np.testing.assert_array_equal(a.grad[i], u.grad)
+        np.testing.assert_array_equal(b.grad[i], v.grad)
+
+
+def test_cosine_identical_rows_are_exactly_one():
+    r = rng_for(15)
+    for dim in (1, 2, 5, 16, 64):
+        m = r.normal(size=(7, dim)) * r.uniform(0.1, 100, size=(7, 1))
+        c = cosine_similarity(Tensor(m), Tensor(m.copy()))
+        assert c.data.tolist() == [1.0] * 7
+
+
+def test_cosine_similarity_shape_errors():
+    with pytest.raises(ShapeError):
+        cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
+    with pytest.raises(ShapeError):
+        cosine_similarity(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 2, 3))))
+    with pytest.raises(ShapeError):
+        cosine_similarity(Tensor(np.asarray(1.0)), Tensor(np.asarray(1.0)))
+
+
+def conv2d_per_tap(x, w, b, padding, g):
+    """Plain numpy per-tap conv2d: the output and, for upstream gradient
+    ``g``, the gradients of x, w and b."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    ho, wo = xp.shape[1] - k + 1, xp.shape[2] - k + 1
+    out = np.zeros((w.shape[0], ho, wo))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, i:i + ho, j:j + wo]
+            out += np.tensordot(w[:, :, i, j], patch, axes=([1], [0]))
+            dw[:, :, i, j] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
+            dxp[:, i:i + ho, j:j + wo] += np.tensordot(w[:, :, i, j], g, axes=([0], [0]))
+    dx = dxp[:, padding:padding + x.shape[1], padding:padding + x.shape[2]]
+    return out + b[:, None, None], dx, dw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (1, 1), (3, 0), (3, 1)])
+def test_conv2d_matches_per_tap_reference(k, padding):
+    r = rng_for(16 + 2 * k + padding)
+    x = Tensor(r.normal(size=(3, 5, 6)), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 3, k, k)), requires_grad=True)
+    b = Tensor(r.normal(size=4), requires_grad=True)
+    out = conv2d(x, w, b, padding=padding)
+    g = r.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = conv2d_per_tap(x.data, w.data, b.data, padding, g)
+    for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
 def test_grad_embedding_scatter_adds_repeats():
     r = rng_for(10)
     table = Tensor(r.normal(size=(5, 3)))

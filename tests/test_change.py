@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import gradcheck, scalarizer
+from gradcheck import gradcheck, scalarizer, tape_nodes
 from mtvlm.autograd import ParameterSet, Tensor, conv2d
 from mtvlm.change import (
     ChangeFeatureMap, DualTimeFeatures, FusionParams, SpatialEnhanceParams,
@@ -97,6 +97,19 @@ def test_spatial_enhance_rejects_wrong_embedding_width():
     d = DualTimeFeatures(Tensor(np.ones((4, 3))), Tensor(np.ones((4, 3))), (2, 2))
     with pytest.raises(ShapeError):
         spatial_enhance(d, sp)
+
+
+def test_spatial_enhance_tape_size_is_independent_of_grid():
+    sizes = set()
+    for grid in ((1, 1), (2, 2), (3, 4), (6, 6)):
+        r = np.random.default_rng(sum(grid))
+        n = grid[0] * grid[1]
+        ps, sp, _ = make_params(3)
+        sp.w_embed.data = r.normal(size=6)
+        f1 = Tensor(r.normal(size=(n, 3)), requires_grad=True)
+        f2 = Tensor(r.normal(size=(n, 3)), requires_grad=True)
+        sizes.add(tape_nodes(spatial_enhance(DualTimeFeatures(f1, f2, grid), sp)))
+    assert len(sizes) == 1
 
 
 # -- identity collapse ---------------------------------------------------------------

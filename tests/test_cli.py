@@ -6,7 +6,7 @@ import typing
 
 import pytest
 
-from mtvlm import fileio
+from mtvlm import cli, fileio
 from mtvlm.checkpoint import read_checkpoint
 from mtvlm.cli import (RunConfig, load_run_config, main, pipeline_config,
                        resolved_seed, train_config)
@@ -550,6 +550,46 @@ def test_ablate_plumbing(tmp_path):
     table = (out / "ablation.txt").read_text().splitlines()
     assert table[0].split() == ["config", "single-acc", "pair-cider", "video-oa"]
     assert len(table) == 3
+
+
+class _StageOneSeen(Exception):
+    pass
+
+
+def ablate_stage1_config(tmp_path, monkeypatch, *args):
+    """The TrainConfig that ``ablate`` hands to stage 1 (the run stops there)."""
+    seen = []
+
+    def capture(records, cfg, *a, **kw):
+        seen.append(cfg)
+        raise _StageOneSeen
+
+    monkeypatch.setattr(cli, "pretrain_change_module", capture)
+    with pytest.raises(_StageOneSeen):
+        main(["ablate", "--out", str(tmp_path / "ablation"), "--seeds", "0",
+              "--per-kind", "2", "--eval-n", "2", "--steps", "7", *args])
+    return seen[0]
+
+
+def test_ablate_trains_with_the_battery_recipe_by_default(tmp_path, monkeypatch):
+    # criterion 09 sets none of the recipe's fields
+    assert ablate_stage1_config(tmp_path, monkeypatch) == TrainConfig(
+        max_lr=3e-3, warmup_ratio=0.05, total_steps=7, batch_size=4, seed=0,
+        freeze=JOINT_FREEZE)
+
+
+def test_ablate_keeps_explicit_recipe_values(tmp_path, monkeypatch):
+    got = ablate_stage1_config(tmp_path, monkeypatch, "--override", "max_lr=1e-4",
+                               "--override", "batch_size=2",
+                               "--override", "warmup_ratio=0.1")
+    assert (got.max_lr, got.batch_size, got.warmup_ratio) == (1e-4, 2, 0.1)
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_lr": 1e-4, "batch_size": 3, "warmup_ratio": 0.2}))
+    got = ablate_stage1_config(tmp_path, monkeypatch, "--config", str(path),
+                               "--override", "batch_size=5")
+    assert (got.max_lr, got.batch_size, got.warmup_ratio) == (1e-4, 5, 0.2)
+    assert got.total_steps == 7
 
 
 def test_ablate_rejects_unknown_config(tmp_path, capsys):

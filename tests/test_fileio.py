@@ -1,6 +1,7 @@
 """Every run file is replaced whole: a failed write leaves the old file."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mtvlm.lm import Vocab
 from mtvlm.metrics import read_predictions, write_predictions
 from mtvlm.prompting import ClueCache
 from mtvlm.training import write_log
+from mtvlm.vision import read_pixels, write_pixels
 
 
 def manifest(n):
@@ -81,3 +83,29 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name):
     assert path.read_bytes() != before
     read(path)
 
+
+@pytest.mark.parametrize("failing", ["frame.f64", "frame.json"])
+def test_failed_pixel_write_leaves_previous_files(tmp_path, monkeypatch, failing):
+    # the pixel writer replaces two files, the payload and then its sidecar,
+    # so it cannot join WRITERS, whose test expects one file in the directory
+    path = tmp_path / "frame.f64"
+    write_pixels(path, np.full((1, 3, 2, 2), 0.25))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def half_write_one(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return HalfWrite(fh) if Path(file).name.startswith(f".{failing}.") else fh
+
+    monkeypatch.setattr(fileio, "open", half_write_one, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_pixels(path, np.full((2, 3, 4, 2), 0.5))
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == ["frame.f64", "frame.json"]     # no temp file left
+    assert after[failing] == before[failing]
+    if failing == "frame.f64":      # the sidecar is written after the payload
+        assert after == before
+        np.testing.assert_array_equal(read_pixels(path), np.full((1, 3, 2, 2), 0.25))
+
+    monkeypatch.undo()
+    write_pixels(path, np.full((2, 3, 4, 2), 0.5))
+    np.testing.assert_array_equal(read_pixels(path), np.full((2, 3, 4, 2), 0.5))

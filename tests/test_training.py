@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck
+from mtvlm import training
 from mtvlm.autograd import Parameter, ParameterSet, Tensor
 from mtvlm.errors import ConfigurationError, ContractError, DivergenceError
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
@@ -265,6 +266,28 @@ def test_pretrain_trains_and_logs(synth_dir):
     init = pretrain_change_module(pairs, stage1_cfg(total_steps=0), out,
                                   d_v=4, dim=16, max_seq=32)[0]
     assert any(state[k].tobytes() != init[k].tobytes() for k in state)
+
+
+def test_pretrain_loads_each_record_once_per_run(synth_dir, monkeypatch):
+    # the encoder is frozen, so a run reads and encodes each pair once; a
+    # new run starts with no features, so it reads them all again
+    out, records = synth_dir
+    pairs = pairs_of(records)
+    loaded = []
+    original = training.load_visual
+
+    def counting(kind, refs, *args, **kwargs):
+        loaded.append(tuple(refs))
+        return original(kind, refs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "load_visual", counting)
+    cfg = stage1_cfg(total_steps=6, batch_size=2)
+    first = pretrain_change_module(pairs, cfg, out, d_v=4, dim=16, max_seq=32)
+    assert sorted(loaded) == sorted(tuple(r.visual_refs) for r in pairs)
+    second = pretrain_change_module(pairs, cfg, out, d_v=4, dim=16, max_seq=32)
+    assert len(loaded) == 2 * len(pairs)
+    assert sorted(loaded[len(pairs):]) == sorted(loaded[:len(pairs)])
+    assert first[1] == second[1]
 
 
 # -- stage 2 ---------------------------------------------------------------------
