@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ParameterSet, Tensor
-from .change import (DualTimeFeatures, FusionParams, SpatialEnhanceParams,
-                     change_extract)
 from .data import (CAPTION_CHANGED, CAPTION_UNCHANGED, ERA_LABELS,
                    SYNTH_ANSWER_SUFFIX, SYNTH_PAIR_INSTRUCTION,
                    SYNTH_QUESTIONS, SYNTH_VIDEO_CLASSES,
@@ -28,8 +26,7 @@ from .packing import TokenizedPrompt, pack, row_layout, supervision_mask
 from .prompting import (CLUE_PROMPTS, TASK_TAGS, ClueCache,
                         ClueUnavailableError, build_prompt, generate_clue,
                         instruction_for_dataset)
-from .vision import (EncoderConfig, PatchLinearEncoder, Projector,
-                     VisualInput, downsample, embed_change, load_visual)
+from .vision import VisualInput, VisualPath, downsample, load_visual
 
 # Words the synthetic generators can emit in instructions or answers,
 # so a model never meets an out-of-vocabulary token on its own data.
@@ -94,11 +91,8 @@ class MultiTemporalModel:
         self.clue_cache = clue_cache if clue_cache is not None else ClueCache()
         self.params = ParameterSet()
         rng = np.random.default_rng(cfg.seed)
-        self.encoder = PatchLinearEncoder(EncoderConfig(d_p=cfg.patch, d_v=cfg.d_v),
-                                          self.params, rng)
-        self.enhance = SpatialEnhanceParams(self.params, cfg.d_v)
-        self.fusion = FusionParams(self.params, cfg.d_v, rng)
-        self.projector = Projector(cfg.d_v, cfg.dim, self.params, rng)
+        self.visual = VisualPath(self.params, rng, patch=cfg.patch,
+                                 d_v=cfg.d_v, dim=cfg.dim)
         self.lm = TinyCausalLM(LMConfig(dim=cfg.dim, layers=cfg.lm_layers,
                                         heads=cfg.lm_heads, max_seq=cfg.max_seq),
                                len(vocab), self.params, rng)
@@ -123,13 +117,10 @@ class MultiTemporalModel:
 
     def _compute_units(self, record: SampleRecord) -> list[Tensor]:
         vi = self.visual_input(record)
-        feats = self.encoder.encode(vi)
+        feats = self.visual.encoder.encode(vi)
         if record.kind == "pair" and self.cfg.use_change_module:
-            dual = DualTimeFeatures(f1=feats.per_frame[0], f2=feats.per_frame[1],
-                                    grid=feats.grid)
-            fmap = change_extract(dual, self.enhance, self.fusion)
-            return embed_change(fmap, self.projector).units()
-        return self.projector.project(downsample(feats)).units()
+            return self.visual.change_embeddings(feats).units()
+        return self.visual.projector.project(downsample(feats)).units()
 
     def _visual_frozen(self) -> bool:
         return all(not p.tensor.requires_grad for p in self.params.values()

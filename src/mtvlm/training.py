@@ -5,29 +5,28 @@ captions through a throwaway single-layer transformer head, with the
 patch encoder frozen. Stage 2 tunes the language model on the mixed
 instruction data with the whole visual side frozen.
 
-Both stages share the schedule (linear warmup into cosine decay), the
-AdamW optimizer, and the next-token cross entropy below.
+Both stages run one optimizer loop, ``_fit``, with the schedule (linear
+warmup into cosine decay), AdamW and the next-token cross entropy below.
+Both build their visual side as a ``vision.VisualPath``, so they draw the
+same initial visual weights for the same seed and dims.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Parameter, ParameterSet, Tensor, concat, take
-from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
-                     SpatialEnhanceParams, change_extract)
 from .checkpoint import write_checkpoint
 from .data import MixedDataset, SampleRecord
 from .errors import ConfigurationError, ContractError, DivergenceError
 from .fileio import write_atomic
 from .lm import LMConfig, TinyCausalLM, Vocab
-from .vision import (EncoderConfig, PatchLinearEncoder, Projector,
-                     embed_change, load_visual)
+from .vision import VisualFeatures, VisualPath, load_visual
 
 
 @dataclass
@@ -158,55 +157,62 @@ def write_log(path: str | Path, log: list[dict]) -> None:
     write_atomic(path, "".join(json.dumps(row) + "\n" for row in log))
 
 
-def _cyclic_batches(n: int, batch_size: int, steps: int):
-    at = 0
-    for _ in range(steps):
-        batch = [(at + j) % n for j in range(min(batch_size, n))]
-        at = (at + min(batch_size, n)) % n
-        yield batch
-
-
-def _finite_or_raise(value: float, step: int) -> None:
-    if not math.isfinite(value):
-        raise DivergenceError(step - 1)
+def _fit(params: ParameterSet, loss_of, records: list[SampleRecord],
+         cfg: TrainConfig) -> list[dict]:
+    """The optimizer loop of both stages: per step, the mean of ``loss_of``
+    over the next batch of ``records``, taken cyclically, then backward,
+    clipping and AdamW. Returns the log."""
+    opt = AdamW(params.trainable(), cfg)
+    log: list[dict] = []
+    n = len(records)
+    size = min(cfg.batch_size, n)
+    for step in range(cfg.total_steps):
+        params.zero_grads()
+        batch = [records[(step * size + j) % n] for j in range(size)]
+        loss = loss_of(batch[0])
+        for record in batch[1:]:
+            loss = loss + loss_of(record)
+        loss = loss.scale(1.0 / len(batch))
+        value = loss.item()
+        if not math.isfinite(value):
+            raise DivergenceError(step - 1)
+        loss.backward()
+        if cfg.grad_clip is not None:
+            clip_gradients(params.trainable(), cfg.grad_clip)
+        lr = lr_at(step, cfg)
+        opt.step(lr)
+        log.append({"step": step, "lr": lr, "loss": value})
+    return log
 
 
 # -- stage 1: change-module pretraining ----------------------------------------
 
 class _CaptionStub:
-    """Change module + projector + single-layer caption head over frozen
-    encoder features. Lives only for the duration of pretraining, and so
-    does its cache of each record's encoded frames: the encoder is frozen,
-    so they are constants of the run."""
+    """The model's visual path under a single-layer caption head, over
+    frozen encoder features. Lives only for the duration of pretraining,
+    and so does its cache of each record's encoded frames: the encoder is
+    frozen, so they are constants of the run."""
 
-    def __init__(self, records: list[SampleRecord], seed: int, *,
+    def __init__(self, records: list[SampleRecord], base_dir, seed: int, *,
                  patch: int, d_v: int, dim: int, heads: int, max_seq: int):
         self.params = ParameterSet()
         rng = np.random.default_rng(seed)
-        self.encoder = PatchLinearEncoder(EncoderConfig(d_p=patch, d_v=d_v),
-                                          self.params, rng)
-        self.enhance = SpatialEnhanceParams(self.params, d_v)
-        self.fusion = FusionParams(self.params, d_v, rng)
-        self.projector = Projector(d_v, dim, self.params, rng)
+        self.visual = VisualPath(self.params, rng, patch=patch, d_v=d_v, dim=dim)
         self.vocab = Vocab.from_texts([r.target for r in records])
         self.head = TinyCausalLM(LMConfig(dim=dim, layers=1, heads=heads,
                                           max_seq=max_seq),
                                  len(self.vocab), self.params, rng,
                                  prefix="caphead.")
         self.params.freeze(("encoder.",))
-        self._features: dict[tuple[str, ...], DualTimeFeatures] = {}
+        self.base_dir = base_dir
+        self._features: dict[tuple[str, ...], VisualFeatures] = {}
 
-    def change_map(self, record: SampleRecord, base_dir) -> ChangeFeatureMap:
+    def caption_loss(self, record: SampleRecord) -> Tensor:
         key = tuple(record.visual_refs)
         if key not in self._features:
-            vi = load_visual(record.kind, record.visual_refs, base_dir)
-            feats = self.encoder.encode(vi)
-            self._features[key] = DualTimeFeatures(
-                f1=feats.per_frame[0], f2=feats.per_frame[1], grid=feats.grid)
-        return change_extract(self._features[key], self.enhance, self.fusion)
-
-    def caption_loss(self, record: SampleRecord, base_dir) -> Tensor:
-        unit = embed_change(self.change_map(record, base_dir), self.projector)
+            vi = load_visual(record.kind, record.visual_refs, self.base_dir)
+            self._features[key] = self.visual.encoder.encode(vi)
+        unit = self.visual.change_embeddings(self._features[key])
         ids = [self.vocab.bos_id] + self.vocab.encode(record.target) \
             + [self.vocab.eos_id]
         rows = concat([unit.values, self.head.embed_ids(ids)], axis=0)
@@ -224,32 +230,20 @@ def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
     """Caption-supervised warmup of the change module.
 
     Returns (state, log): state holds the trained change.* and projector.*
-    arrays, ready to seed joint tuning; the caption head is dropped.
+    arrays, ready to seed joint tuning; the caption head is dropped. The
+    visual weights start where ``MultiTemporalModel`` with the same seed
+    and dims starts them. Stage 1 always freezes the encoder and nothing
+    else: ``cfg.freeze`` is not read here. Raises DivergenceError on a
+    non-finite loss.
     """
     if not records:
         raise ContractError("pretraining needs at least one record")
     bad = [r.id for r in records if r.kind != "pair"]
     if bad:
         raise ContractError(f"pretraining expects pair records, got {bad[:3]}")
-    stub = _CaptionStub(records, cfg.seed, patch=patch, d_v=d_v, dim=dim,
-                        heads=heads, max_seq=max_seq)
-    opt = AdamW(stub.params.trainable(), cfg)
-    log: list[dict] = []
-    for step, batch in enumerate(_cyclic_batches(len(records), cfg.batch_size,
-                                                 cfg.total_steps)):
-        stub.params.zero_grads()
-        loss = stub.caption_loss(records[batch[0]], base_dir)
-        for i in batch[1:]:
-            loss = loss + stub.caption_loss(records[i], base_dir)
-        loss = loss.scale(1.0 / len(batch))
-        value = loss.item()
-        _finite_or_raise(value, step)
-        loss.backward()
-        if cfg.grad_clip is not None:
-            clip_gradients(stub.params.trainable(), cfg.grad_clip)
-        lr = lr_at(step, cfg)
-        opt.step(lr)
-        log.append({"step": step, "lr": lr, "loss": value})
+    stub = _CaptionStub(records, base_dir, cfg.seed, patch=patch, d_v=d_v,
+                        dim=dim, heads=heads, max_seq=max_seq)
+    log = _fit(stub.params, stub.caption_loss, records, cfg)
     state = {name: arr for name, arr in stub.params.state().items()
              if name.startswith(("change.", "projector."))}
     return state, log
@@ -275,23 +269,8 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
     if not records:
         raise ContractError("training needs at least one record")
     model.params.freeze(cfg.freeze)
-    opt = AdamW(model.params.trainable(), cfg)
-    log: list[dict] = []
-    for step, batch in enumerate(_cyclic_batches(len(records), cfg.batch_size,
-                                                 cfg.total_steps)):
-        model.params.zero_grads()
-        loss = _example_loss(model, records[batch[0]])
-        for i in batch[1:]:
-            loss = loss + _example_loss(model, records[i])
-        loss = loss.scale(1.0 / len(batch))
-        value = loss.item()
-        _finite_or_raise(value, step)
-        loss.backward()
-        if cfg.grad_clip is not None:
-            clip_gradients(model.params.trainable(), cfg.grad_clip)
-        lr = lr_at(step, cfg)
-        opt.step(lr)
-        log.append({"step": step, "lr": lr, "loss": value})
+    log = _fit(model.params, lambda record: _example_loss(model, record),
+               records, cfg)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, model.params.state())
     if log_path is not None:

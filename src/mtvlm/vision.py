@@ -16,13 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import ParameterSet, Tensor, concat, linear
-from .change import ChangeFeatureMap, grid_to_tokens
+from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
+                     SpatialEnhanceParams, change_extract, grid_to_tokens)
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fileio import write_atomic
 
@@ -186,6 +188,26 @@ def embed_change(fmap: ChangeFeatureMap, projector: Projector) -> VisualEmbeddin
     return projector.project(downsample(feats))
 
 
+class VisualPath:
+    """Encoder, spatial enhance, fusion and projector, drawn from ``rng`` in
+    that order, so both training stages start from the same visual weights."""
+
+    def __init__(self, params: ParameterSet, rng: np.random.Generator, *,
+                 patch: int, d_v: int, dim: int):
+        self.encoder = PatchLinearEncoder(EncoderConfig(d_p=patch, d_v=d_v),
+                                          params, rng)
+        self.enhance = SpatialEnhanceParams(params, d_v)
+        self.fusion = FusionParams(params, d_v, rng)
+        self.projector = Projector(d_v, dim, params, rng)
+
+    def change_embeddings(self, feats: VisualFeatures) -> VisualEmbeddings:
+        """A pair's two encoded frames as one projected change unit."""
+        dual = DualTimeFeatures(f1=feats.per_frame[0], f2=feats.per_frame[1],
+                                grid=feats.grid)
+        return embed_change(change_extract(dual, self.enhance, self.fusion),
+                            self.projector)
+
+
 def sample_frames(frames: np.ndarray, k: int) -> np.ndarray:
     """Uniform temporal sampling of (T, ...) down (or up) to k frames."""
     t = frames.shape[0]
@@ -200,15 +222,18 @@ def sample_frames(frames: np.ndarray, k: int) -> np.ndarray:
 # -- pixel fixtures -----------------------------------------------------------
 
 def write_pixels(path: str | Path, frames: np.ndarray) -> None:
-    """Raw little-endian f64 dump plus a JSON sidecar with the shape, each
-    replaced whole (the payload first), so neither is left truncated."""
+    """Raw little-endian f64 dump plus a JSON sidecar with the shape and the
+    payload's crc32, each replaced whole (the payload first), so neither is
+    left truncated and a payload left beside an older sidecar is rejected."""
     path = Path(path)
     frames = np.ascontiguousarray(frames, dtype="<f8")
     if frames.ndim != 4 or frames.shape[1] != 3:
         raise ShapeError(f"pixel files hold (k, 3, h, w), got {frames.shape}")
     k, _, h, w = frames.shape
-    write_atomic(path, frames.tobytes())
-    sidecar = {"k": int(k), "channels": 3, "h": int(h), "w": int(w)}
+    payload = frames.tobytes()
+    write_atomic(path, payload)
+    sidecar = {"k": int(k), "channels": 3, "h": int(h), "w": int(w),
+               "crc32": zlib.crc32(payload)}
     write_atomic(path.with_suffix(".json"), json.dumps(sidecar, sort_keys=True))
 
 
@@ -225,6 +250,10 @@ def read_pixels(path: str | Path) -> np.ndarray:
     if len(blob) != expected:
         raise ContractError(
             f"{path}: payload is {len(blob)} bytes, sidecar {shape} needs {expected}")
+    crc = zlib.crc32(blob)
+    if type(sidecar.get("crc32")) is not int or sidecar["crc32"] != crc:
+        raise ContractError(
+            f"{path}: payload crc32 is {crc}, sidecar gives {sidecar.get('crc32')!r}")
     return np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
 
 

@@ -233,6 +233,19 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_pretrain_divergence_exits_3_and_writes_nothing(tmp_path, capsys):
+    data = synth(tmp_path, kinds="pair", n=2)
+    out = tmp_path / "stage1"
+    code = main(["pretrain-change", "--manifest", str(data / "manifest.jsonl"),
+                 "--out", str(out),
+                 *overrides("max_lr=nan", "warmup_ratio=0", "total_steps=3",
+                            "batch_size=2")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "stage1.ckpt").exists()
+    assert not (out / "pretrain_log.jsonl").exists()
+
+
 # -- synth-data -----------------------------------------------------------------------
 
 def test_synth_data_rerun_is_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mtvlm import fileio
+from mtvlm.errors import ContractError
 from mtvlm.checkpoint import read_checkpoint, write_checkpoint
 from mtvlm.data import SampleRecord, load_manifest, save_manifest
 from mtvlm.lm import Vocab
@@ -109,3 +110,22 @@ def test_failed_pixel_write_leaves_previous_files(tmp_path, monkeypatch, failing
     monkeypatch.undo()
     write_pixels(path, np.full((2, 3, 4, 2), 0.5))
     np.testing.assert_array_equal(read_pixels(path), np.full((2, 3, 4, 2), 0.5))
+
+
+def test_new_payload_under_old_sidecar_of_same_size_is_rejected(tmp_path, monkeypatch):
+    # (1, 3, 8, 2) and (2, 3, 4, 2) payloads are both 384 bytes, so only
+    # the sidecar's crc32 tells the new payload from the old one
+    path = tmp_path / "frame.f64"
+    write_pixels(path, np.full((1, 3, 8, 2), 0.25))
+
+    def half_write_sidecar(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        return HalfWrite(fh) if Path(file).name.startswith(".frame.json.") else fh
+
+    monkeypatch.setattr(fileio, "open", half_write_sidecar, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_pixels(path, np.full((2, 3, 4, 2), 0.5))
+    monkeypatch.undo()
+    assert json.loads(path.with_suffix(".json").read_text())["k"] == 1
+    with pytest.raises(ContractError, match="crc32"):
+        read_pixels(path)

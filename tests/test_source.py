@@ -1,0 +1,38 @@
+"""Source hygiene checks that need no linter: every module-level import in
+``src/mtvlm`` is used by the module that makes it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mtvlm"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that the module never reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(),
+                                                            key=lambda kv: kv[1])
+            if name not in read]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os\nimport numpy as np\n" \
+             "from json import dumps, loads\nx = np.zeros(dumps(1))\n"
+    assert unused_imports(source) == ["line 2: os", "line 4: loads"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

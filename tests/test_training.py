@@ -290,6 +290,33 @@ def test_pretrain_loads_each_record_once_per_run(synth_dir, monkeypatch):
     assert first[1] == second[1]
 
 
+def test_pretrain_divergence(synth_dir):
+    out, records = synth_dir
+    cfg = stage1_cfg(max_lr=float("nan"), warmup_ratio=0.0)
+    with pytest.raises(DivergenceError) as err:
+        pretrain_change_module(pairs_of(records), cfg, out, d_v=4, dim=16,
+                               max_seq=32)
+    assert err.value.step == 0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pretrain_starts_from_the_models_visual_weights(synth_dir, seed):
+    # both stages build the visual side in one place, drawn before the LM
+    # or the caption head, so stage 1 warms up the very arrays stage 2 loads
+    out, records = synth_dir
+    dims = dict(patch=8, d_v=4, dim=16)
+    state, _ = pretrain_change_module(pairs_of(records),
+                                      stage1_cfg(total_steps=0, seed=seed),
+                                      out, **dims)
+    model = MultiTemporalModel.build(PipelineConfig(seed=seed, **dims),
+                                     records, out)
+    expected = {k: v for k, v in model.params.state().items()
+                if k.startswith(("change.", "projector."))}
+    assert sorted(state) == sorted(expected)
+    for k in state:
+        assert state[k].tobytes() == expected[k].tobytes(), k
+
+
 # -- stage 2 ---------------------------------------------------------------------
 
 def make_model(out, records, **cfg_kw):

@@ -258,6 +258,25 @@ def test_pixels_sidecar_size_is_not_wrapped(tmp_path):
         read_pixels(path)
 
 
+@pytest.mark.parametrize("damage", ["flip a payload byte", "drop crc32",
+                                    "crc32 as string"])
+def test_pixels_crc_mismatch_rejected(tmp_path, damage):
+    path = tmp_path / "x.f64"
+    write_pixels(path, np.zeros((1, 3, 2, 2)))
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    if damage == "flip a payload byte":
+        blob = bytearray(path.read_bytes())
+        blob[3] ^= 0x01
+        path.write_bytes(bytes(blob))
+    elif damage == "drop crc32":
+        del sidecar["crc32"]
+    else:
+        sidecar["crc32"] = str(sidecar["crc32"])
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    with pytest.raises(ContractError, match="crc32"):
+        read_pixels(path)
+
+
 def test_load_visual_pair_and_video_sampling(tmp_path):
     r = np.random.default_rng(13)
     for i in range(6):
