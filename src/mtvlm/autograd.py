@@ -9,8 +9,8 @@ this module. Design constraints, chosen for auditability over speed:
   broadcast anywhere is the bias add inside ``linear`` and ``conv2d``);
 * the tape is built eagerly by closures and walked once per ``backward``;
   inside ``no_grad()`` ops record nothing, for forward-only inference;
-* repeated ``backward`` calls accumulate into ``.grad`` until the caller
-  zeroes them.
+* ``backward`` sets ``.grad`` on leaves only, and repeated calls
+  accumulate into it until the caller zeroes it.
 """
 
 from __future__ import annotations
@@ -64,11 +64,15 @@ class Tensor:
     # -- tape -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into .grad of every reachable node.
+        """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
-        ``self`` must be a scalar (0-d). Repeated calls add another full
-        pass of gradients; callers that want fresh gradients must zero
-        them first.
+        ``self`` must be a scalar (0-d). A leaf is a tensor that no op
+        produced: a parameter or an input. Only leaves get a ``.grad``, and
+        each is an array of its own, so writing into one never changes
+        another. An interior node's gradient lives only until its backward
+        closure has consumed it, and its ``.grad`` stays None. Closures are
+        kept, so repeated calls add another full pass of gradients; callers
+        that want fresh gradients must zero them first.
         """
         if self.data.ndim != 0:
             raise ContractError(f"backward needs a scalar, got shape {self.shape}")
@@ -92,17 +96,18 @@ class Tensor:
                     stack.append((parent, False))
 
         self._pass_grad = np.ones((), dtype=np.float64)
+        # consumers come before their inputs, so a node's gradient is
+        # complete when its turn comes
         for node in reversed(topo):
-            if node._backward is not None and node._pass_grad is not None:
-                node._backward(node._pass_grad)
-        for node in topo:
-            if node._pass_grad is None:
+            g, node._pass_grad = node._pass_grad, None
+            if g is None:
                 continue
-            if node.grad is None:
-                node.grad = node._pass_grad
+            if node._backward is not None:
+                node._backward(g)
+            elif node.grad is None:
+                node.grad = g
             else:
-                node.grad = node.grad + node._pass_grad
-            node._pass_grad = None
+                node.grad = node.grad + g
 
     # -- arithmetic --------------------------------------------------------
 
@@ -262,11 +267,16 @@ def _send(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to ``t`` for the current backward pass."""
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=np.float64)
-    if t._pass_grad is None:
-        t._pass_grad = g.reshape(t.data.shape).copy()
+    g = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
+    if t._pass_grad is not None:
+        t._pass_grad = t._pass_grad + g
+    elif t._backward is None:
+        # a leaf's gradient becomes its .grad, so it gets an array of its own
+        t._pass_grad = g.copy()
     else:
-        t._pass_grad = t._pass_grad + g.reshape(t.data.shape)
+        # an interior node's gradient is only read, and only during this
+        # pass, so it may share memory with the upstream gradient
+        t._pass_grad = np.ascontiguousarray(g)
 
 
 # -- free functions ----------------------------------------------------------

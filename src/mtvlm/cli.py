@@ -270,6 +270,10 @@ def cmd_synth_data(args) -> int:
 
 def cmd_pretrain_change(args) -> int:
     cfg = load_run_config(args.config, args.override)
+    if cfg.freeze != _DEFAULTS["freeze"]:
+        raise ConfigurationError(
+            f"pretrain-change always freezes the encoder alone; it cannot take "
+            f"freeze={','.join(cfg.freeze)}")
     records = load_manifest(args.manifest)
     pairs = [r for r in records if r.kind == "pair"]
     out = Path(args.out)

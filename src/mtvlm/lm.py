@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -171,11 +172,15 @@ class TinyCausalLM:
         return self._masks[past, n]
 
     def _attention(self, x: Tensor, b: dict, mask: Tensor, kv: list | None) -> Tensor:
-        """All heads at once: q as (heads, n, dh), k as (heads, dh, t), v as
-        (heads, t, dh) and ``mask`` as (heads, n, t). ``kv`` is the block's
-        cache slot or None: the ``[k, v]`` rows of the t - n earlier positions
-        (empty on the first call), to which the new rows are appended."""
-        n, d = x.shape
+        """All heads of all segments at once. With s segments of n rows each,
+        q is (s, heads, n, dh), k is (s, heads, dh, t), v is (s, heads, t, dh)
+        and ``mask`` is (s, heads, n, t). ``kv`` is the block's cache slot or
+        None (always None when s > 1): the ``[k, v]`` rows of the t - n
+        earlier positions (empty on the first call), to which the new rows
+        are appended."""
+        s = mask.shape[0]
+        rows, d = x.shape
+        n = rows // s
         heads = self.cfg.heads
         dh = d // heads
         q, k, v = (linear(x, b["w" + c].tensor, b["b" + c].tensor) for c in "qkv")
@@ -183,33 +188,63 @@ class TinyCausalLM:
             if kv:
                 k, v = concat([kv[0], k]), concat([kv[1], v])
             kv[:] = k, v
-        t = k.shape[0]
-        q, k, v = q.reshape(n, heads, dh), k.reshape(t, heads, dh), v.reshape(t, heads, dh)
-        scores = q.transpose(1, 0, 2).matmul(k.transpose(1, 2, 0)).scale(1.0 / np.sqrt(dh)) + mask
-        out = scores.softmax(axis=-1).matmul(v.transpose(1, 0, 2))
-        return linear(out.transpose(1, 0, 2).reshape(n, d), b["wo"].tensor, b["bo"].tensor)
+        t = k.shape[0] // s
+        q = q.reshape(s, n, heads, dh).transpose(0, 2, 1, 3)
+        k = k.reshape(s, t, heads, dh).transpose(0, 2, 3, 1)
+        v = v.reshape(s, t, heads, dh).transpose(0, 2, 1, 3)
+        scores = q.matmul(k).scale(1.0 / np.sqrt(dh)) + mask
+        out = scores.softmax(axis=-1).matmul(v)
+        return linear(out.transpose(0, 2, 1, 3).reshape(rows, d), b["wo"].tensor, b["bo"].tensor)
 
-    def forward(self, embeddings: Tensor, cache: list | None = None) -> Tensor:
+    def forward(self, embeddings: Tensor, cache: list | None = None,
+                lengths: Sequence[int] | None = None) -> Tensor:
         """Map (N, D_P) input rows to (N, vocab) logits, causally.
+
+        With ``lengths`` the rows are segments laid end to end: independent
+        sequences of those lengths, each attending only to its own earlier
+        rows, with positions restarting at 0. Inside, one gather lays them
+        out as (segments, T) slots, T the longest length. A short segment's
+        pad slots repeat its first row after all its real rows, so the
+        causal mask keeps them out of every real row and they receive zero
+        gradient; one gather after the final norm takes the real rows back.
 
         With ``cache`` (a list, empty on the first call) the rows continue the
         sequence whose per-block keys and values the cache holds, and their
-        own keys and values are appended to it.
+        own keys and values are appended to it. ``cache`` takes one segment,
+        so it cannot come with ``lengths``.
         """
         if embeddings.ndim != 2 or embeddings.shape[1] != self.cfg.dim:
             raise ConfigurationError(
                 f"LM expects (N, {self.cfg.dim}) embeddings, got {embeddings.shape}")
         n = embeddings.shape[0]
+        s, t = 1, n
+        if lengths is not None:
+            if cache is not None:
+                raise ContractError("forward takes lengths or a cache, not both")
+            lengths = np.asarray(lengths)
+            if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size \
+                    or lengths.min() < 1 or lengths.sum() != n:
+                raise ContractError(
+                    f"segment lengths {lengths.tolist()} must be >= 1 and sum to {n} rows")
+            s, t = lengths.size, int(lengths.max())
         past = cache[0][0].shape[0] if cache else 0
-        if past + n > self.cfg.max_seq:
+        if past + t > self.cfg.max_seq:
             raise SequenceLengthError(
-                f"sequence of {past + n} rows exceeds max_seq={self.cfg.max_seq}")
+                f"sequence of {past + t} rows exceeds max_seq={self.cfg.max_seq}")
         if cache == []:
             cache.extend([] for _ in self.blocks)
-        x = embeddings + self.pos.tensor.narrow(0, past, n)
+        pos = self.pos.tensor.narrow(0, past, t)
+        if s == 1:
+            x = embeddings + pos
+        else:
+            slot = np.arange(t)
+            real = slot < lengths[:, None]
+            starts = np.cumsum(lengths) - lengths
+            rows = np.where(real, starts[:, None] + slot, starts[:, None])
+            x = embedding(embeddings, rows.ravel()) + embedding(pos, np.tile(slot, s))
         # expanded per call, not cached: decoding sees a new length at every step
-        mask = Tensor(np.broadcast_to(self._causal_mask(past, n),
-                                      (self.cfg.heads, n, past + n)))
+        mask = Tensor(np.broadcast_to(self._causal_mask(past, t),
+                                      (s, self.cfg.heads, t, past + t)))
         for i, b in enumerate(self.blocks):
             a = layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor)
             h = x + self._attention(a, b, mask, None if cache is None else cache[i])
@@ -218,6 +253,8 @@ class TinyCausalLM:
             m = linear(m, b["fc2_w"].tensor, b["fc2_b"].tensor)
             x = h + m
         x = layer_norm(x, self.lnf_g.tensor, self.lnf_b.tensor)
+        if s > 1:
+            x = embedding(x, np.flatnonzero(real))
         return linear(x, self.head_w.tensor, self.head_b.tensor)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:

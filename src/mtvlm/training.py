@@ -96,22 +96,37 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 
 def cross_entropy_next_token(logits: Tensor, targets: list[int],
-                             mask: np.ndarray) -> Tensor:
-    """Mean -log p(target[i]) under logits[i-1], over mask-true positions."""
+                             mask: np.ndarray, lengths: list[int] | None = None) -> Tensor:
+    """Mean -log p(target[i]) under logits[i-1], over mask-true positions.
+
+    With ``lengths`` the rows are segments laid end to end, as
+    ``TinyCausalLM.forward`` takes them: the loss is the mean over segments
+    of each segment's mean, so no segment's first row may be masked and
+    every segment needs a masked row.
+    """
     mask = np.asarray(mask, dtype=bool)
     n = logits.shape[0]
-    if len(targets) != n or mask.shape != (n,):
+    if len(targets) != n or mask.shape != (n,) \
+            or (lengths is not None and sum(lengths) != n):
         raise ContractError(
-            f"logits rows {n}, targets {len(targets)}, mask {mask.shape} disagree")
+            f"logits rows {n}, targets {len(targets)}, mask {mask.shape}, "
+            f"lengths {lengths} disagree")
     positions = np.flatnonzero(mask)
     if positions.size == 0:
         raise ContractError("loss mask selects no positions")
-    if mask[0]:
-        raise ContractError("position 0 has no preceding logits to predict it")
+    ends = np.cumsum([n] if lengths is None else lengths)
+    if mask[ends[:-1]].any() or mask[0]:
+        raise ContractError("position 0 of a segment has no preceding logits to predict it")
     logp = logits.log_softmax(axis=-1)
-    picked = take(logp, [int(i) - 1 for i in positions],
-                  [int(targets[i]) for i in positions])
-    return picked.sum().scale(-1.0 / positions.size)
+    picked = take(logp, positions - 1, np.asarray(targets)[positions])
+    if lengths is None:
+        return picked.sum().scale(-1.0 / positions.size)
+    segment = np.searchsorted(ends, positions, side="right")
+    counts = np.bincount(segment, minlength=len(ends))
+    if not counts.all():
+        raise ContractError(f"loss mask selects no positions in segments "
+                            f"{np.flatnonzero(counts == 0).tolist()}")
+    return (picked * Tensor(-1.0 / (len(ends) * counts[segment]))).sum()
 
 
 class AdamW:
@@ -159,24 +174,22 @@ def write_log(path: str | Path, log: list[dict]) -> None:
 
 def _fit(params: ParameterSet, loss_of, records: list[SampleRecord],
          cfg: TrainConfig) -> list[dict]:
-    """The optimizer loop of both stages: per step, the mean of ``loss_of``
-    over the next batch of ``records``, taken cyclically, then backward,
-    clipping and AdamW. Returns the log."""
+    """The optimizer loop of both stages: per step, ``loss_of`` the next
+    batch of ``records``, taken cyclically, then backward, clipping and
+    AdamW. Each step's graph is dropped before the next step builds its
+    own. Returns the log."""
     opt = AdamW(params.trainable(), cfg)
     log: list[dict] = []
     n = len(records)
     size = min(cfg.batch_size, n)
     for step in range(cfg.total_steps):
         params.zero_grads()
-        batch = [records[(step * size + j) % n] for j in range(size)]
-        loss = loss_of(batch[0])
-        for record in batch[1:]:
-            loss = loss + loss_of(record)
-        loss = loss.scale(1.0 / len(batch))
+        loss = loss_of([records[(step * size + j) % n] for j in range(size)])
         value = loss.item()
         if not math.isfinite(value):
             raise DivergenceError(step - 1)
         loss.backward()
+        del loss
         if cfg.grad_clip is not None:
             clip_gradients(params.trainable(), cfg.grad_clip)
         lr = lr_at(step, cfg)
@@ -222,6 +235,12 @@ class _CaptionStub:
         mask[n_vis + 1:] = True        # supervise everything after bos
         return cross_entropy_next_token(self.head.forward(rows), targets, mask)
 
+    def batch_loss(self, batch: list[SampleRecord]) -> Tensor:
+        loss = self.caption_loss(batch[0])
+        for record in batch[1:]:
+            loss = loss + self.caption_loss(record)
+        return loss.scale(1.0 / len(batch))
+
 
 def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
                            base_dir: str | Path, *, patch: int = 8,
@@ -243,7 +262,7 @@ def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
         raise ContractError(f"pretraining expects pair records, got {bad[:3]}")
     stub = _CaptionStub(records, base_dir, cfg.seed, patch=patch, d_v=d_v,
                         dim=dim, heads=heads, max_seq=max_seq)
-    log = _fit(stub.params, stub.caption_loss, records, cfg)
+    log = _fit(stub.params, stub.batch_loss, records, cfg)
     state = {name: arr for name, arr in stub.params.state().items()
              if name.startswith(("change.", "projector."))}
     return state, log
@@ -269,8 +288,7 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
     if not records:
         raise ContractError("training needs at least one record")
     model.params.freeze(cfg.freeze)
-    log = _fit(model.params, lambda record: _example_loss(model, record),
-               records, cfg)
+    log = _fit(model.params, lambda batch: _batch_loss(model, batch), records, cfg)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, model.params.state())
     if log_path is not None:
@@ -278,7 +296,13 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
     return log
 
 
-def _example_loss(model, record: SampleRecord) -> Tensor:
-    packed, targets, mask = model.training_example(record)
-    logits = model.lm.forward(packed.embeddings)
-    return cross_entropy_next_token(logits, targets, mask)
+def _batch_loss(model, batch: list[SampleRecord]) -> Tensor:
+    """One LM forward over the batch's packed rows laid end to end, and the
+    mean of the per-record answer losses."""
+    examples = [model.training_example(record) for record in batch]
+    lengths = [packed.embeddings.shape[0] for packed, _, _ in examples]
+    logits = model.lm.forward(concat([packed.embeddings for packed, _, _ in examples]),
+                              lengths=lengths)
+    return cross_entropy_next_token(logits, [t for _, targets, _ in examples for t in targets],
+                                    np.concatenate([mask for _, _, mask in examples]),
+                                    lengths)

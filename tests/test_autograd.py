@@ -295,6 +295,35 @@ def test_repeated_backward_accumulates():
     assert x.grad is None
 
 
+def test_backward_sets_grad_on_leaves_only():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([0.5, 0.25, 2.0]), requires_grad=True)
+    sq = x * x
+    prod = sq * w
+    loss = prod.sum()
+    loss.backward()
+    assert sq.grad is None and prod.grad is None and loss.grad is None
+    assert sq._pass_grad is None and prod._pass_grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data * w.data)
+    np.testing.assert_array_equal(w.grad, x.data * x.data)
+
+
+def test_writing_into_one_leaf_grad_never_changes_another():
+    # add sends the same upstream array to both inputs; concat and reshape
+    # hand on views of it; a leaf used twice accumulates
+    r = rng_for(31)
+    a, b, c, d, e = (Tensor(r.normal(size=(2, 3)), requires_grad=True) for _ in range(5))
+    s = Tensor(np.asarray(1.5), requires_grad=True)
+    y = concat([a + b, (c + a).reshape(3, 2).reshape(2, 3)]).scale(s).sum() + (d + e).sum()
+    y.backward()
+    leaves = [a, b, c, d, e, s]
+    before = [t.grad.copy() for t in leaves]
+    for i, t in enumerate(leaves):
+        t.grad[...] = 7.0 + i
+        for other, old in zip(leaves[i + 1:], before[i + 1:]):
+            np.testing.assert_array_equal(other.grad, old)
+
+
 def test_diamond_reuse_sums_both_paths():
     x = Tensor(np.array([0.5, -1.5]), requires_grad=True)
     y = (x * x + x).sum()

@@ -608,3 +608,28 @@ def test_ablate_keeps_explicit_recipe_values(tmp_path, monkeypatch):
 def test_ablate_rejects_unknown_config(tmp_path, capsys):
     assert main(["ablate", "--out", str(tmp_path / "x"), "--seeds", "0",
                  "--configs", "joint,mystery", *overrides()]) == 2
+
+
+@pytest.mark.parametrize("freeze", ["", "change.,projector.", "encoder."])
+def test_pretrain_rejects_a_freeze_it_would_ignore(tmp_path, capsys, freeze):
+    data = synth(tmp_path, kinds="pair", n=2)
+    out = tmp_path / "stage1"
+    code = main(["pretrain-change", "--manifest", str(data / "manifest.jsonl"),
+                 "--out", str(out),
+                 *overrides("total_steps=2", "batch_size=2", f"freeze={freeze}")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "freeze" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_pretrain_accepts_a_config_file_with_the_default_freeze(tmp_path):
+    data = synth(tmp_path, kinds="pair", n=2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"freeze": list(JOINT_FREEZE), "total_steps": 2,
+                                  "batch_size": 2}))
+    code = main(["pretrain-change", "--manifest", str(data / "manifest.jsonl"),
+                 "--out", str(tmp_path / "stage1"), "--config", str(config),
+                 *overrides()])
+    assert code == 0
+    assert (tmp_path / "stage1" / "stage1.ckpt").exists()

@@ -188,6 +188,79 @@ def test_forward_tape_size_is_independent_of_heads():
     assert len(set(sizes.values())) == 1, sizes
 
 
+# -- segments laid end to end ----------------------------------------------------
+
+def test_segmented_forward_gradcheck():
+    # a length-1 segment gets pad slots in every position but its first
+    model, params = tiny_model(dim=4, layers=1, heads=2, max_seq=4, vocab=5, seed=1)
+    rng = np.random.default_rng(3)
+    rows = Tensor(rng.normal(size=(6, 4)))
+    w = rng.normal(size=(6, 5))
+
+    def loss():
+        return (model.forward(rows, lengths=[2, 1, 3]) * Tensor(w)).sum()
+
+    leaves = [rows, params["lm.block0.attn.wq.weight"].tensor,
+              params["lm.block0.attn.wv.bias"].tensor,
+              params["lm.pos.weight"].tensor,
+              params["lm.block0.mlp.fc1.weight"].tensor,
+              params["lm.ln_f.gain"].tensor,
+              params["lm.head.bias"].tensor]
+    gradcheck(loss, leaves)
+
+
+@pytest.mark.parametrize("lengths", [[1, 5, 3, 7], [4, 4], [16, 1]])
+def test_segmented_logits_match_per_sample_forward(lengths):
+    model, params = tiny_model(seed=5)
+    rng = np.random.default_rng(11)
+    for p in params.values():                # weights large enough to matter
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+    rows = rng.normal(size=(sum(lengths), 8))
+    w = rng.normal(size=(sum(lengths), 11))
+    x = Tensor(rows, requires_grad=True)
+    got = model.forward(x, lengths=lengths)
+    (got * Tensor(w)).sum().backward()
+    batched = {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
+    params.zero_grads()
+
+    start = 0
+    for n in lengths:
+        seg = Tensor(rows[start:start + n], requires_grad=True)
+        want = model.forward(seg)
+        np.testing.assert_allclose(got.data[start:start + n], want.data, rtol=0, atol=1e-12)
+        (want * Tensor(w[start:start + n])).sum().backward()
+        np.testing.assert_allclose(x.grad[start:start + n], seg.grad, rtol=0, atol=1e-12)
+        start += n
+    assert sorted(batched) == sorted(n for n, p in params.items() if p.grad is not None)
+    for name, grad in batched.items():
+        np.testing.assert_allclose(grad, params[name].grad, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_segmented_tape_size_is_independent_of_segment_count():
+    model, _ = tiny_model()
+    rng = np.random.default_rng(13)
+    sizes = {}
+    for lengths in ([3, 2], [3, 2, 4], [1, 3, 2, 4, 5]):
+        rows = Tensor(rng.normal(size=(sum(lengths), 8)), requires_grad=True)
+        sizes[len(lengths)] = tape_nodes(model.forward(rows, lengths=lengths))
+    assert len(set(sizes.values())) == 1, sizes
+
+
+def test_segmented_forward_rejections():
+    model, _ = tiny_model()
+    rows = Tensor(np.zeros((5, 8)))
+    with pytest.raises(ContractError, match="not both"):
+        model.forward(rows, cache=[], lengths=[5])
+    for bad in ([2, 2], [2, 4], [0, 5], [-1, 6], [], [[2, 3]], [2.7, 3.2]):
+        with pytest.raises(ContractError, match="sum to 5"):
+            model.forward(rows, lengths=bad)
+    # max_seq bounds the longest segment, not the rows laid end to end
+    assert model.forward(Tensor(np.zeros((30, 8))), lengths=[16, 14]).shape == (30, 11)
+    with pytest.raises(SequenceLengthError, match="17 rows"):
+        model.forward(Tensor(np.zeros((20, 8))), lengths=[3, 17])
+
+
 # -- greedy decoding --------------------------------------------------------------
 
 def rigged_model(favored: int):

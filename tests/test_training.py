@@ -1,6 +1,7 @@
 """Schedule exactness, the loss, AdamW against a hand oracle, both stages."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -375,3 +376,127 @@ def test_train_joint_rejects_empty(synth_dir):
     out, records = synth_dir
     with pytest.raises(ContractError):
         train_joint(make_model(out, records), [], joint_cfg())
+
+
+# -- one forward per joint step ------------------------------------------------------
+
+def test_segmented_loss_is_mean_of_segment_means():
+    rng = np.random.default_rng(5)
+    lengths = [3, 2, 6]
+    logits = rng.normal(size=(sum(lengths), 7))
+    targets = rng.integers(0, 7, size=sum(lengths)).tolist()
+    masks = [np.array([False, True, True]), np.array([False, True]),
+             np.array([False, False, True, False, True, True])]
+    got = cross_entropy_next_token(Tensor(logits), targets, np.concatenate(masks), lengths)
+    want, start = [], 0
+    for n, m in zip(lengths, masks):
+        want.append(cross_entropy_next_token(Tensor(logits[start:start + n]),
+                                             targets[start:start + n], m).item())
+        start += n
+    assert got.item() == pytest.approx(np.mean(want), rel=1e-14)
+    leaf = Tensor(logits)
+    gradcheck(lambda: cross_entropy_next_token(leaf, targets, np.concatenate(masks),
+                                               lengths), [leaf])
+
+
+def test_segmented_loss_rejections():
+    logits = Tensor(np.zeros((5, 4)))
+    targets = [0] * 5
+    with pytest.raises(ContractError, match="position 0"):     # second segment's first row
+        cross_entropy_next_token(logits, targets,
+                                 np.array([False, True, True, False, True]), [2, 3])
+    with pytest.raises(ContractError, match=r"segments \[1\]"):
+        cross_entropy_next_token(logits, targets,
+                                 np.array([False, True, False, False, False]), [2, 3])
+    with pytest.raises(ContractError, match="disagree"):
+        cross_entropy_next_token(logits, targets,
+                                 np.array([False, True, False, True, True]), [2, 2])
+
+
+def per_record_loss(model, batch):
+    """The mean of per-record losses, one LM forward each."""
+    loss = None
+    for record in batch:
+        packed, targets, mask = model.training_example(record)
+        one = cross_entropy_next_token(model.lm.forward(packed.embeddings), targets, mask)
+        loss = one if loss is None else loss + one
+    return loss.scale(1.0 / len(batch))
+
+
+def tape(root):
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_joint_batch_loss_and_gradients_match_per_record_step(synth_dir):
+    out, records = synth_dir
+    model = make_model(out, records)
+    model.params.freeze(JOINT_FREEZE)
+    batch = [records[i] for i in (0, 3, 6, 1)]          # single, pair, video, single
+    loss = training._batch_loss(model, batch)
+    nodes = tape(loss)
+    loss.backward()
+    interior = [t for t in nodes if t._backward is not None]
+    assert interior and all(t.grad is None for t in interior)
+    batched = {p.name: p.grad.copy() for p in model.params.trainable()}
+
+    model.params.zero_grads()
+    want = per_record_loss(model, batch)
+    assert loss.item() == pytest.approx(want.item(), rel=1e-12)
+    want.backward()
+    for p in model.params.trainable():
+        np.testing.assert_allclose(batched[p.name], p.grad, rtol=0, atol=1e-12,
+                                   err_msg=p.name)
+
+
+def test_joint_leaf_gradients_are_separate_arrays(synth_dir):
+    out, records = synth_dir
+    model = make_model(out, records)
+    model.params.freeze(JOINT_FREEZE)
+    training._batch_loss(model, records[:4]).backward()
+    params = model.params.trainable()
+    before = [p.grad.copy() for p in params]
+    for i, p in enumerate(params):
+        p.grad[...] = 1e3 + i
+        for q, old in zip(params[i + 1:], before[i + 1:]):
+            assert q.grad.tobytes() == old.tobytes(), (p.name, q.name)
+
+
+def test_joint_runs_one_lm_forward_per_step(synth_dir):
+    out, records = synth_dir
+    model = make_model(out, records)
+    rows = []
+    forward = model.lm.forward
+
+    def counting(embeddings, *args, **kwargs):
+        rows.append(embeddings.shape[0])
+        return forward(embeddings, *args, **kwargs)
+
+    model.lm.forward = counting
+    train_joint(model, records, joint_cfg(total_steps=5))
+    assert len(rows) == 5
+    per_record = {r.id: model.training_example(r)[0].embeddings.shape[0] for r in records}
+    assert rows == [sum(per_record[records[(s * 4 + j) % len(records)].id]
+                        for j in range(4)) for s in range(5)]
+
+
+def test_joint_step_graph_is_dropped_before_next_forward(synth_dir):
+    out, records = synth_dir
+    model = make_model(out, records)
+    refs, live = [], []
+    forward = model.lm.forward
+
+    def watching(*args, **kwargs):
+        live.append([r() is not None for r in refs])
+        logits = forward(*args, **kwargs)
+        refs.append(weakref.ref(logits))
+        return logits
+
+    model.lm.forward = watching
+    train_joint(model, records, joint_cfg(total_steps=4))
+    assert live == [[], [False], [False] * 2, [False] * 3]
