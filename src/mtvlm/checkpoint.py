@@ -65,7 +65,10 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     while offset < len(blob):
         (nlen,) = u32()
-        name = bytes(take(nlen)).decode("utf-8")
+        try:
+            name = bytes(take(nlen)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: non-UTF-8 parameter name at offset {offset - nlen}") from exc
         (rank,) = u32()
         shape = u32(rank)
         count = math.prod(shape)

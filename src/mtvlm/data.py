@@ -113,6 +113,9 @@ def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[Samp
             except json.JSONDecodeError as e:
                 errors.append(f"line {lineno}: invalid JSON ({e.msg})")
                 continue
+            if not isinstance(raw, dict):
+                errors.append(f"line {lineno}: expected a JSON object, got {type(raw).__name__}")
+                continue
             unknown = set(raw) - _RECORD_KEYS
             if unknown:
                 errors.append(f"line {lineno}: unknown fields {sorted(unknown)}")

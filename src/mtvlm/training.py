@@ -7,6 +7,8 @@ instruction data with the whole visual side frozen.
 
 Both stages run one optimizer loop, ``_fit``, with the schedule (linear
 warmup into cosine decay), AdamW and the next-token cross entropy below.
+Each step's loss is ``_batch_loss``: one forward of the model's ``lm``
+(the caption head, in stage 1) over the batch's ``training_example`` rows.
 Both build their visual side as a ``vision.VisualPath``, so they draw the
 same initial visual weights for the same seed and dims.
 """
@@ -26,6 +28,7 @@ from .data import MixedDataset, SampleRecord
 from .errors import ConfigurationError, ContractError, DivergenceError
 from .fileio import write_atomic
 from .lm import LMConfig, TinyCausalLM, Vocab
+from .packing import PackedSequence
 from .vision import VisualFeatures, VisualPath, load_visual
 
 
@@ -99,33 +102,29 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
                              mask: np.ndarray, lengths: list[int] | None = None) -> Tensor:
     """Mean -log p(target[i]) under logits[i-1], over mask-true positions.
 
-    With ``lengths`` the rows are segments laid end to end, as
-    ``TinyCausalLM.forward`` takes them: the loss is the mean over segments
-    of each segment's mean, so no segment's first row may be masked and
-    every segment needs a masked row.
+    The rows are segments of ``lengths`` laid end to end (one segment of
+    all rows by default), as ``TinyCausalLM.forward`` takes them: the loss
+    is the mean over segments of each segment's mean, so no segment's first
+    row may be masked and every segment needs a masked row.
     """
     mask = np.asarray(mask, dtype=bool)
     n = logits.shape[0]
-    if len(targets) != n or mask.shape != (n,) \
-            or (lengths is not None and sum(lengths) != n):
+    lengths = [n] if lengths is None else lengths
+    if len(targets) != n or mask.shape != (n,) or sum(lengths) != n:
         raise ContractError(
             f"logits rows {n}, targets {len(targets)}, mask {mask.shape}, "
             f"lengths {lengths} disagree")
-    positions = np.flatnonzero(mask)
-    if positions.size == 0:
-        raise ContractError("loss mask selects no positions")
-    ends = np.cumsum([n] if lengths is None else lengths)
+    ends = np.cumsum(lengths)
     if mask[ends[:-1]].any() or mask[0]:
         raise ContractError("position 0 of a segment has no preceding logits to predict it")
-    logp = logits.log_softmax(axis=-1)
-    picked = take(logp, positions - 1, np.asarray(targets)[positions])
-    if lengths is None:
-        return picked.sum().scale(-1.0 / positions.size)
+    positions = np.flatnonzero(mask)
     segment = np.searchsorted(ends, positions, side="right")
     counts = np.bincount(segment, minlength=len(ends))
     if not counts.all():
         raise ContractError(f"loss mask selects no positions in segments "
                             f"{np.flatnonzero(counts == 0).tolist()}")
+    logp = logits.log_softmax(axis=-1)
+    picked = take(logp, positions - 1, np.asarray(targets)[positions])
     return (picked * Tensor(-1.0 / (len(ends) * counts[segment]))).sum()
 
 
@@ -172,26 +171,25 @@ def write_log(path: str | Path, log: list[dict]) -> None:
     write_atomic(path, "".join(json.dumps(row) + "\n" for row in log))
 
 
-def _fit(params: ParameterSet, loss_of, records: list[SampleRecord],
-         cfg: TrainConfig) -> list[dict]:
-    """The optimizer loop of both stages: per step, ``loss_of`` the next
-    batch of ``records``, taken cyclically, then backward, clipping and
-    AdamW. Each step's graph is dropped before the next step builds its
-    own. Returns the log."""
-    opt = AdamW(params.trainable(), cfg)
+def _fit(model, records: list[SampleRecord], cfg: TrainConfig) -> list[dict]:
+    """The optimizer loop of both stages: per step, ``_batch_loss`` on the
+    next batch of ``records``, taken cyclically, then backward, clipping
+    and AdamW. Each step's graph is dropped before the next step builds
+    its own. Returns the log."""
+    opt = AdamW(model.params.trainable(), cfg)
     log: list[dict] = []
     n = len(records)
     size = min(cfg.batch_size, n)
     for step in range(cfg.total_steps):
-        params.zero_grads()
-        loss = loss_of([records[(step * size + j) % n] for j in range(size)])
+        model.params.zero_grads()
+        loss = _batch_loss(model, [records[(step * size + j) % n] for j in range(size)])
         value = loss.item()
         if not math.isfinite(value):
             raise DivergenceError(step - 1)
         loss.backward()
         del loss
         if cfg.grad_clip is not None:
-            clip_gradients(params.trainable(), cfg.grad_clip)
+            clip_gradients(model.params.trainable(), cfg.grad_clip)
         lr = lr_at(step, cfg)
         opt.step(lr)
         log.append({"step": step, "lr": lr, "loss": value})
@@ -212,15 +210,16 @@ class _CaptionStub:
         rng = np.random.default_rng(seed)
         self.visual = VisualPath(self.params, rng, patch=patch, d_v=d_v, dim=dim)
         self.vocab = Vocab.from_texts([r.target for r in records])
-        self.head = TinyCausalLM(LMConfig(dim=dim, layers=1, heads=heads,
-                                          max_seq=max_seq),
-                                 len(self.vocab), self.params, rng,
-                                 prefix="caphead.")
+        self.lm = TinyCausalLM(LMConfig(dim=dim, layers=1, heads=heads,
+                                        max_seq=max_seq),
+                               len(self.vocab), self.params, rng,
+                               prefix="caphead.")
         self.params.freeze(("encoder.",))
         self.base_dir = base_dir
         self._features: dict[tuple[str, ...], VisualFeatures] = {}
 
-    def caption_loss(self, record: SampleRecord) -> Tensor:
+    def training_example(self, record: SampleRecord):
+        """The pair's change units, then bos, caption and eos, as ``_batch_loss`` takes them."""
         key = tuple(record.visual_refs)
         if key not in self._features:
             vi = load_visual(record.kind, record.visual_refs, self.base_dir)
@@ -228,18 +227,12 @@ class _CaptionStub:
         unit = self.visual.change_embeddings(self._features[key])
         ids = [self.vocab.bos_id] + self.vocab.encode(record.target) \
             + [self.vocab.eos_id]
-        rows = concat([unit.values, self.head.embed_ids(ids)], axis=0)
+        rows = concat([unit.values, self.lm.embed_ids(ids)], axis=0)
         n_vis = unit.values.shape[0]
         targets = [0] * n_vis + ids
         mask = np.zeros(len(targets), dtype=bool)
         mask[n_vis + 1:] = True        # supervise everything after bos
-        return cross_entropy_next_token(self.head.forward(rows), targets, mask)
-
-    def batch_loss(self, batch: list[SampleRecord]) -> Tensor:
-        loss = self.caption_loss(batch[0])
-        for record in batch[1:]:
-            loss = loss + self.caption_loss(record)
-        return loss.scale(1.0 / len(batch))
+        return PackedSequence(rows, mask), targets, mask
 
 
 def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
@@ -262,7 +255,7 @@ def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
         raise ContractError(f"pretraining expects pair records, got {bad[:3]}")
     stub = _CaptionStub(records, base_dir, cfg.seed, patch=patch, d_v=d_v,
                         dim=dim, heads=heads, max_seq=max_seq)
-    log = _fit(stub.params, stub.batch_loss, records, cfg)
+    log = _fit(stub, records, cfg)
     state = {name: arr for name, arr in stub.params.state().items()
              if name.startswith(("change.", "projector."))}
     return state, log
@@ -288,7 +281,7 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
     if not records:
         raise ContractError("training needs at least one record")
     model.params.freeze(cfg.freeze)
-    log = _fit(model.params, lambda batch: _batch_loss(model, batch), records, cfg)
+    log = _fit(model, records, cfg)
     if checkpoint_path is not None:
         write_checkpoint(checkpoint_path, model.params.state())
     if log_path is not None:

@@ -239,7 +239,10 @@ def write_pixels(path: str | Path, frames: np.ndarray) -> None:
 
 def read_pixels(path: str | Path) -> np.ndarray:
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
+    try:
+        sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContractError(f"{path}: sidecar is not valid JSON: {exc}") from exc
     shape = tuple(sidecar.get(key) if isinstance(sidecar, dict) else None
                   for key in ("k", "channels", "h", "w"))
     if not all(type(n) is int and n > 0 for n in shape) or shape[1] != 3:

@@ -60,6 +60,16 @@ def test_unsupported_version_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def test_non_utf8_parameter_name_rejected(tmp_path):
+    path = tmp_path / "name.ckpt"
+    write_checkpoint(path, {"w": np.ones(2)})
+    blob = bytearray(path.read_bytes())
+    blob[12] = 0xFF                     # first byte of the name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match="UTF-8"):
+        read_checkpoint(path)
+
+
 def test_duplicate_parameter_rejected(tmp_path):
     path = tmp_path / "dup.ckpt"
     write_checkpoint(path, {"w": np.ones(2)})

@@ -224,6 +224,17 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["5", "null", "[[1]]"])
+def test_manifest_line_that_is_not_an_object_exits_2(tmp_path, capsys, line):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(line + "\n")
+    code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_divergence_exits_3(tmp_path, capsys):
     data = synth(tmp_path, kinds="single", n=2)
     code = main(["train", "--manifest", str(data / "manifest.jsonl"),

@@ -97,6 +97,14 @@ def test_manifest_reports_every_bad_line(tmp_path):
     assert "line 5" not in msg
 
 
+@pytest.mark.parametrize("line", ["5", "null", "[[1]]"])
+def test_manifest_line_that_is_not_an_object_is_a_line_error(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(rec().to_json() + "\n" + line + "\n")
+    with pytest.raises(ManifestError, match="line 2: expected a JSON object"):
+        load_manifest(path)
+
+
 def test_manifest_tag_filter(tmp_path):
     path = tmp_path / "m.jsonl"
     save_manifest(path, [rec()])

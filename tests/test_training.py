@@ -9,7 +9,9 @@ import pytest
 from gradcheck import gradcheck
 from mtvlm import training
 from mtvlm.autograd import Parameter, ParameterSet, Tensor
+from mtvlm.data import synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, DivergenceError
+from mtvlm.lm import TinyCausalLM
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
 from mtvlm.training import (
     JOINT_FREEZE, AdamW, TrainConfig, clip_gradients,
@@ -433,11 +435,7 @@ def tape(root):
     return list(seen.values())
 
 
-def test_joint_batch_loss_and_gradients_match_per_record_step(synth_dir):
-    out, records = synth_dir
-    model = make_model(out, records)
-    model.params.freeze(JOINT_FREEZE)
-    batch = [records[i] for i in (0, 3, 6, 1)]          # single, pair, video, single
+def check_batch_loss_matches_per_record_step(model, batch):
     loss = training._batch_loss(model, batch)
     nodes = tape(loss)
     loss.backward()
@@ -454,6 +452,28 @@ def test_joint_batch_loss_and_gradients_match_per_record_step(synth_dir):
                                    err_msg=p.name)
 
 
+def test_joint_batch_loss_and_gradients_match_per_record_step(synth_dir):
+    out, records = synth_dir
+    model = make_model(out, records)
+    model.params.freeze(JOINT_FREEZE)
+    batch = [records[i] for i in (0, 3, 6, 1)]          # single, pair, video, single
+    check_batch_loss_matches_per_record_step(model, batch)
+
+
+STUB_DIMS = dict(patch=8, d_v=4, dim=16, heads=4, max_seq=32)
+
+
+def test_stage1_batch_loss_and_gradients_match_per_record_step(tmp_path):
+    # the caption head's per-record sum, as stage 1 ran it before it shared
+    # the joint path, is the reference for its one segmented forward
+    out = tmp_path / "pairs"
+    pairs = synth_generate("pair", 4, 22, out)
+    stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
+    lengths = {stub.training_example(r)[0].n for r in pairs}
+    assert len(lengths) > 1                             # pad slots are exercised
+    check_batch_loss_matches_per_record_step(stub, pairs)
+
+
 def test_joint_leaf_gradients_are_separate_arrays(synth_dir):
     out, records = synth_dir
     model = make_model(out, records)
@@ -467,29 +487,43 @@ def test_joint_leaf_gradients_are_separate_arrays(synth_dir):
             assert q.grad.tobytes() == old.tobytes(), (p.name, q.name)
 
 
-def test_joint_runs_one_lm_forward_per_step(synth_dir):
-    out, records = synth_dir
-    model = make_model(out, records)
+def stage_under_test(stage, out, records):
+    """A model that builds the stage's training examples, the records the
+    stage cycles through, and a run of that stage for a number of steps."""
+    if stage == "joint":
+        model = make_model(out, records)
+        return model, records, lambda steps: train_joint(
+            model, records, joint_cfg(total_steps=steps))
+    pairs = pairs_of(records)
+    stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
+    return stub, pairs, lambda steps: pretrain_change_module(
+        pairs, stage1_cfg(total_steps=steps, batch_size=4), out, **STUB_DIMS)
+
+
+@pytest.mark.parametrize("stage", ["joint", "stage1"])
+def test_joint_runs_one_lm_forward_per_step(synth_dir, monkeypatch, stage):
+    model, records, train = stage_under_test(stage, *synth_dir)
     rows = []
-    forward = model.lm.forward
+    forward = TinyCausalLM.forward
 
-    def counting(embeddings, *args, **kwargs):
+    def counting(lm, embeddings, *args, **kwargs):
         rows.append(embeddings.shape[0])
-        return forward(embeddings, *args, **kwargs)
+        return forward(lm, embeddings, *args, **kwargs)
 
-    model.lm.forward = counting
-    train_joint(model, records, joint_cfg(total_steps=5))
+    monkeypatch.setattr(TinyCausalLM, "forward", counting)
+    train(5)
     assert len(rows) == 5
-    per_record = {r.id: model.training_example(r)[0].embeddings.shape[0] for r in records}
-    assert rows == [sum(per_record[records[(s * 4 + j) % len(records)].id]
-                        for j in range(4)) for s in range(5)]
+    per_record = {r.id: model.training_example(r)[0].n for r in records}
+    size = min(4, len(records))
+    assert rows == [sum(per_record[records[(s * size + j) % len(records)].id]
+                        for j in range(size)) for s in range(5)]
 
 
-def test_joint_step_graph_is_dropped_before_next_forward(synth_dir):
-    out, records = synth_dir
-    model = make_model(out, records)
+@pytest.mark.parametrize("stage", ["joint", "stage1"])
+def test_joint_step_graph_is_dropped_before_next_forward(synth_dir, monkeypatch, stage):
+    _, _, train = stage_under_test(stage, *synth_dir)
     refs, live = [], []
-    forward = model.lm.forward
+    forward = TinyCausalLM.forward
 
     def watching(*args, **kwargs):
         live.append([r() is not None for r in refs])
@@ -497,6 +531,6 @@ def test_joint_step_graph_is_dropped_before_next_forward(synth_dir):
         refs.append(weakref.ref(logits))
         return logits
 
-    model.lm.forward = watching
-    train_joint(model, records, joint_cfg(total_steps=4))
+    monkeypatch.setattr(TinyCausalLM, "forward", watching)
+    train(4)
     assert live == [[], [False], [False] * 2, [False] * 3]

@@ -248,6 +248,14 @@ def test_pixels_sidecar_rejected(tmp_path, sidecar):
         read_pixels(path)
 
 
+def test_pixels_malformed_sidecar_rejected(tmp_path):
+    path = tmp_path / "x.f64"
+    write_pixels(path, np.zeros((1, 3, 2, 2)))
+    path.with_suffix(".json").write_text('{"k": 1, "channels": 3,')
+    with pytest.raises(ContractError, match="sidecar"):
+        read_pixels(path)
+
+
 def test_pixels_sidecar_size_is_not_wrapped(tmp_path):
     path = tmp_path / "x.f64"
     path.write_bytes(b"")
