@@ -6,7 +6,7 @@ prompt templates with generated clues, two-stage training, and the
 evaluation metrics for VQA, change captioning, and video classification.
 """
 
-from .autograd import Parameter, ParameterSet, Tensor
+from .autograd import ParameterSet, Tensor
 from .errors import (ConfigurationError, ContractError, DivergenceError,
                      SequenceLengthError, ShapeError)
 from .pipeline import MultiTemporalModel, PipelineConfig, build_vocab
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "ContractError", "DivergenceError",
-    "MultiTemporalModel", "Parameter", "ParameterSet", "PipelineConfig",
+    "MultiTemporalModel", "ParameterSet", "PipelineConfig",
     "SequenceLengthError", "ShapeError", "Tensor", "TrainConfig",
     "build_vocab", "lr_at", "pretrain_change_module", "train_joint",
     "__version__",

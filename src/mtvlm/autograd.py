@@ -10,7 +10,9 @@ this module. Design constraints, chosen for auditability over speed:
 * the tape is built eagerly by closures and walked once per ``backward``;
   inside ``no_grad()`` ops record nothing, for forward-only inference;
 * ``backward`` sets ``.grad`` on leaves only, and repeated calls
-  accumulate into it until the caller zeroes it.
+  accumulate into it until the caller zeroes it;
+* a parameter is a named leaf tensor: ``ParameterSet`` maps each name to
+  a ``Tensor`` that ops take as is and optimizers update through ``.data``.
 """
 
 from __future__ import annotations
@@ -486,44 +488,21 @@ def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
 
 # -- parameters ---------------------------------------------------------------
 
-class Parameter:
-    """A named leaf tensor that optimizers may update."""
-
-    def __init__(self, name: str, tensor: Tensor):
-        self.name = name
-        self.tensor = tensor
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = np.ascontiguousarray(value, dtype=np.float64)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
-
-
 class ParameterSet:
-    """All parameters of a model, keyed by unique dotted names."""
+    """All parameters of a model: each a leaf ``Tensor`` (``requires_grad``
+    while trainable) under a unique dotted name. The names live only here,
+    as the set's keys."""
 
     def __init__(self):
-        self._params: dict[str, Parameter] = {}
+        self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, data) -> Parameter:
+    def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        p = Parameter(name, t)
-        self._params[name] = p
+        p = self._params[name] = Tensor(data, requires_grad=True)
         return p
 
-    def __getitem__(self, name: str) -> Parameter:
+    def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -541,7 +520,7 @@ class ParameterSet:
     def values(self):
         return self._params.values()
 
-    def with_prefix(self, prefix: str) -> list[Parameter]:
+    def with_prefix(self, prefix: str) -> list[Tensor]:
         return [p for n, p in self._params.items() if n.startswith(prefix)]
 
     def freeze(self, prefixes: Iterable[str]) -> list[str]:
@@ -550,22 +529,24 @@ class ParameterSet:
         frozen = []
         for name, p in self._params.items():
             if name.startswith(prefixes):
-                p.tensor.requires_grad = False
-                p.tensor.grad = None
+                p.requires_grad = False
+                p.grad = None
                 frozen.append(name)
         return frozen
 
-    def trainable(self) -> list[Parameter]:
-        return [p for p in self._params.values() if p.tensor.requires_grad]
+    def trainable(self) -> list[Tensor]:
+        return [p for p in self._params.values() if p.requires_grad]
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.tensor.grad = None
+            p.grad = None
 
     def state(self) -> dict[str, np.ndarray]:
         return {n: p.data.copy() for n, p in self._params.items()}
 
     def load_state(self, mapping: dict[str, np.ndarray], strict: bool = True) -> None:
+        """Copy ``mapping``'s arrays into the named parameters, so the caller's
+        arrays stay its own."""
         missing = [n for n in self._params if n not in mapping]
         if strict and missing:
             raise ContractError(f"checkpoint is missing parameters: {missing[:5]}")
@@ -579,4 +560,4 @@ class ParameterSet:
                 raise ShapeError(
                     f"checkpoint shape {arr.shape} does not match parameter "
                     f"{n!r} of shape {p.data.shape}")
-            p.data = arr
+            p.data = np.array(arr, dtype=np.float64, order="C")

@@ -113,7 +113,7 @@ def spatial_enhance(d: DualTimeFeatures, p: SpatialEnhanceParams) -> Tensor:
         raise ShapeError(
             f"w_embed has {p.w_embed.data.shape}, features need ({2 * d_v},)")
     dist = (Tensor(np.ones(l_v)) - cosine_similarity(d.f1, d.f2)).reshape(l_v, 1)
-    embedded = dist @ p.w_embed.tensor.reshape(1, 2 * d_v)
+    embedded = dist @ p.w_embed.reshape(1, 2 * d_v)
     enhanced = embedded + concat([d.f1, d.f2], axis=1)
     return tokens_to_grid(enhanced, d.grid)
 
@@ -123,10 +123,10 @@ def fuse(enhanced: Tensor, p: FusionParams) -> ChangeFeatureMap:
     if enhanced.ndim != 3 or enhanced.shape[0] != 2 * p.d_v:
         raise ShapeError(
             f"fuse expects ({2 * p.d_v}, H, W), got {enhanced.shape}")
-    mid = conv2d(enhanced, p.conv_half_w.tensor, p.conv_half_b.tensor)
-    block = conv2d(mid, p.conv1_w.tensor, p.conv1_b.tensor).relu()
-    block = conv2d(block, p.conv2_w.tensor, p.conv2_b.tensor, padding=1).relu()
-    block = conv2d(block, p.conv3_w.tensor, p.conv3_b.tensor)
+    mid = conv2d(enhanced, p.conv_half_w, p.conv_half_b)
+    block = conv2d(mid, p.conv1_w, p.conv1_b).relu()
+    block = conv2d(block, p.conv2_w, p.conv2_b, padding=1).relu()
+    block = conv2d(block, p.conv3_w, p.conv3_b)
     return ChangeFeatureMap(values=mid + block)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Parameter, ParameterSet
+from .autograd import ParameterSet, Tensor
 from .errors import ContractError
 from .fileio import write_atomic
 
@@ -33,7 +33,7 @@ def write_checkpoint(path: str | Path,
     for name, p in params.items():
         raw = name.encode("utf-8")
         # asarray, not ascontiguousarray: the latter would write 0-d as (1,)
-        arr = np.asarray(p.data if isinstance(p, Parameter) else p, dtype="<f8")
+        arr = np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
         chunks.append(struct.pack("<I", arr.ndim))

@@ -19,7 +19,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .data import (ERA_LABELS, SYNTH_VIDEO_CLASSES, load_manifest, mix,
                    save_manifest, synth_generate)
 from .errors import ConfigurationError, DivergenceError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .lm import Vocab
 from .metrics import (CaptionEntry, VQARecord, cider_d, classification_report,
                       read_predictions, render_classification_table,
@@ -90,7 +90,7 @@ def load_run_config(path: str | None, overrides: list[str],
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {p}")
         try:
-            file_values = json.loads(p.read_text(encoding="utf-8"))
+            file_values = json.loads(read_text(p, ConfigurationError))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {p} is not valid JSON: {exc}")
         if not isinstance(file_values, dict):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .vision import write_pixels
 
 # Video scene label set, in the order the classification report uses.
@@ -103,34 +103,33 @@ def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[Samp
     path = Path(path)
     records: list[SampleRecord] = []
     errors: list[str] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                errors.append(f"line {lineno}: invalid JSON ({e.msg})")
-                continue
-            if not isinstance(raw, dict):
-                errors.append(f"line {lineno}: expected a JSON object, got {type(raw).__name__}")
-                continue
-            unknown = set(raw) - _RECORD_KEYS
-            if unknown:
-                errors.append(f"line {lineno}: unknown fields {sorted(unknown)}")
-                continue
-            try:
-                rec = SampleRecord(**raw)
-                rec.validate()
-                if dataset_tag is not None and rec.dataset_tag != dataset_tag:
-                    raise ManifestError(
-                        f"record {rec.id}: dataset_tag {rec.dataset_tag!r}, "
-                        f"expected {dataset_tag!r}")
-            except (TypeError, ManifestError) as e:
-                errors.append(f"line {lineno}: {e}")
-                continue
-            records.append(rec)
+    for lineno, line in enumerate(read_text(path, ManifestError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as e:
+            errors.append(f"line {lineno}: invalid JSON ({e.msg})")
+            continue
+        if not isinstance(raw, dict):
+            errors.append(f"line {lineno}: expected a JSON object, got {type(raw).__name__}")
+            continue
+        unknown = set(raw) - _RECORD_KEYS
+        if unknown:
+            errors.append(f"line {lineno}: unknown fields {sorted(unknown)}")
+            continue
+        try:
+            rec = SampleRecord(**raw)
+            rec.validate()
+            if dataset_tag is not None and rec.dataset_tag != dataset_tag:
+                raise ManifestError(
+                    f"record {rec.id}: dataset_tag {rec.dataset_tag!r}, "
+                    f"expected {dataset_tag!r}")
+        except (TypeError, ManifestError) as e:
+            errors.append(f"line {lineno}: {e}")
+            continue
+        records.append(rec)
     if errors:
         raise ManifestError(f"{path}: " + "; ".join(errors))
     return records

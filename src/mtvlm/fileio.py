@@ -5,6 +5,9 @@ renames it over the target with ``os.replace``. A run that is interrupted
 or fails mid-write leaves the previous file as it was, never a truncated
 one that still parses. (It does not fsync, so it guards against a process
 stopping, not against the machine losing power.)
+
+``read_text`` is the matching reader: files are UTF-8 text, and a file
+that is not raises the reader's documented error type, naming the file.
 """
 
 from __future__ import annotations
@@ -24,3 +27,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """``path``'s UTF-8 text; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc

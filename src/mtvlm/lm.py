@@ -24,7 +24,7 @@ import numpy as np
 from .autograd import (ParameterSet, Tensor, concat, embedding, layer_norm, linear,
                        no_grad)
 from .errors import ConfigurationError, ContractError, SequenceLengthError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .packing import (MARKER_CHANGE, MARKER_IMAGE, Marker, TokenizedPrompt,
                       frame_marker, marker_for_token)
 
@@ -96,7 +96,7 @@ class Vocab:
     def load(cls, path: str | Path) -> "Vocab":
         """Read a JSON list of token strings, as ``save`` writes it."""
         try:
-            tokens = json.loads(Path(path).read_text(encoding="utf-8"))
+            tokens = json.loads(read_text(path, ContractError))
         except json.JSONDecodeError as exc:
             raise ContractError(f"{path}: {exc}") from exc
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
@@ -162,7 +162,7 @@ class TinyCausalLM:
         self._masks: dict[tuple[int, int], np.ndarray] = {}
 
     def embed_ids(self, ids: list[int]) -> Tensor:
-        return embedding(self.embed.tensor, ids)
+        return embedding(self.embed, ids)
 
     def _causal_mask(self, past: int, n: int) -> np.ndarray:
         """Rows past:past+n of the (past+n)-square causal mask. A decode step
@@ -183,7 +183,7 @@ class TinyCausalLM:
         n = rows // s
         heads = self.cfg.heads
         dh = d // heads
-        q, k, v = (linear(x, b["w" + c].tensor, b["b" + c].tensor) for c in "qkv")
+        q, k, v = (linear(x, b["w" + c], b["b" + c]) for c in "qkv")
         if kv is not None:
             if kv:
                 k, v = concat([kv[0], k]), concat([kv[1], v])
@@ -194,7 +194,7 @@ class TinyCausalLM:
         v = v.reshape(s, t, heads, dh).transpose(0, 2, 1, 3)
         scores = q.matmul(k).scale(1.0 / np.sqrt(dh)) + mask
         out = scores.softmax(axis=-1).matmul(v)
-        return linear(out.transpose(0, 2, 1, 3).reshape(rows, d), b["wo"].tensor, b["bo"].tensor)
+        return linear(out.transpose(0, 2, 1, 3).reshape(rows, d), b["wo"], b["bo"])
 
     def forward(self, embeddings: Tensor, cache: list | None = None,
                 lengths: Sequence[int] | None = None) -> Tensor:
@@ -233,7 +233,7 @@ class TinyCausalLM:
                 f"sequence of {past + t} rows exceeds max_seq={self.cfg.max_seq}")
         if cache == []:
             cache.extend([] for _ in self.blocks)
-        pos = self.pos.tensor.narrow(0, past, t)
+        pos = self.pos.narrow(0, past, t)
         if s == 1:
             x = embeddings + pos
         else:
@@ -246,16 +246,16 @@ class TinyCausalLM:
         mask = Tensor(np.broadcast_to(self._causal_mask(past, t),
                                       (s, self.cfg.heads, t, past + t)))
         for i, b in enumerate(self.blocks):
-            a = layer_norm(x, b["ln1_g"].tensor, b["ln1_b"].tensor)
+            a = layer_norm(x, b["ln1_g"], b["ln1_b"])
             h = x + self._attention(a, b, mask, None if cache is None else cache[i])
-            m = layer_norm(h, b["ln2_g"].tensor, b["ln2_b"].tensor)
-            m = linear(m, b["fc1_w"].tensor, b["fc1_b"].tensor).relu()
-            m = linear(m, b["fc2_w"].tensor, b["fc2_b"].tensor)
+            m = layer_norm(h, b["ln2_g"], b["ln2_b"])
+            m = linear(m, b["fc1_w"], b["fc1_b"]).relu()
+            m = linear(m, b["fc2_w"], b["fc2_b"])
             x = h + m
-        x = layer_norm(x, self.lnf_g.tensor, self.lnf_b.tensor)
+        x = layer_norm(x, self.lnf_g, self.lnf_b)
         if s > 1:
             x = embedding(x, np.flatnonzero(real))
-        return linear(x, self.head_w.tensor, self.head_b.tensor)
+        return linear(x, self.head_w, self.head_b)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:
         """Greedy decoding; ties break toward the lowest token id.

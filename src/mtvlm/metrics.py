@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ContractError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 
 VQA_CATEGORIES = ("presence", "comparison", "rural_urban")
 
@@ -216,26 +216,25 @@ def read_predictions(path: str | Path) -> list[dict]:
     """JSONL rows {id, category?, prediction, gold | references} of strings,
     with references a list of strings."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"{path}: line {lineno}: {exc}") from exc
-            if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
-                raise ContractError(
-                    f"{path}: line {lineno}: rows need to be objects with 'id' and 'prediction'")
-            bad = [k for k in ("id", "prediction", "gold", "category")
-                   if k in row and not isinstance(row[k], str)]
-            refs = row.get("references", [])
-            if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-                bad.append("references")
-            if bad:
-                raise ContractError(f"{path}: line {lineno}: {bad} must be strings "
-                                    "(references a list of strings)")
-            rows.append(row)
+    for lineno, line in enumerate(read_text(path, ContractError).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{path}: line {lineno}: {exc}") from exc
+        if not isinstance(row, dict) or "id" not in row or "prediction" not in row:
+            raise ContractError(
+                f"{path}: line {lineno}: rows need to be objects with 'id' and 'prediction'")
+        bad = [k for k in ("id", "prediction", "gold", "category")
+               if k in row and not isinstance(row[k], str)]
+        refs = row.get("references", [])
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            bad.append("references")
+        if bad:
+            raise ContractError(f"{path}: line {lineno}: {bad} must be strings "
+                                "(references a list of strings)")
+        rows.append(row)
     if not rows:
         raise ContractError(f"{path}: no prediction rows")
     return rows

@@ -123,8 +123,8 @@ class MultiTemporalModel:
         return self.visual.projector.project(downsample(feats)).units()
 
     def _visual_frozen(self) -> bool:
-        return all(not p.tensor.requires_grad for p in self.params.values()
-                   if p.name.startswith(("encoder.", "change.", "projector.")))
+        return all(not p.requires_grad for n, p in self.params.items()
+                   if n.startswith(("encoder.", "change.", "projector.")))
 
     def visual_units(self, record: SampleRecord) -> list[Tensor]:
         # constants while the visual side is frozen, so cache per record
@@ -163,7 +163,8 @@ class MultiTemporalModel:
     # -- packed examples -----------------------------------------------------
 
     def packed_example(self, record: SampleRecord, answer_ids: list[int]):
-        """Pack a record plus already-encoded answer tokens.
+        """Pack a record plus already-encoded answer tokens; the packed
+        loss mask is true exactly on the answer's rows.
 
         Returns (packed, full prompt, prompt token count, rows per unit).
         """
@@ -176,6 +177,7 @@ class MultiTemporalModel:
         text_ids = [tokens[pos] for src, pos in row_layout(full, l_d)
                     if src == "text"]
         packed = pack(full, self.lm.embed_ids(text_ids), units)
+        packed.loss_mask = supervision_mask(full, (len(prompt.tokens), len(tokens)), l_d)
         return packed, full, len(prompt.tokens), l_d
 
     def training_example(self, record: SampleRecord):
@@ -183,11 +185,10 @@ class MultiTemporalModel:
         if not record.target:
             raise ContractError(f"record {record.id} has an empty target")
         answer_ids = self.vocab.encode(record.target) + [self.vocab.eos_id]
-        packed, full, prompt_len, l_d = self.packed_example(record, answer_ids)
-        mask = supervision_mask(full, (prompt_len, len(full.tokens)), l_d)
+        packed, full, _, _ = self.packed_example(record, answer_ids)
         targets = [full.tokens[idx] if src == "text" else 0
                    for src, idx in packed.segment_map]
-        return packed, targets, mask
+        return packed, targets, packed.loss_mask
 
     def predict(self, record: SampleRecord) -> str:
         packed, _, _, _ = self.packed_example(record, [])

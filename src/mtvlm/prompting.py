@@ -16,7 +16,7 @@ from typing import Callable
 
 from .data import ERA_LABELS
 from .errors import ContractError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 from .packing import markers_for
 from .vision import VisualInput
 
@@ -119,7 +119,7 @@ class ClueCache:
     def load(cls, path: str | Path) -> "ClueCache":
         """Read the rows ``save`` writes; blank lines are skipped."""
         cache = cls()
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path, ContractError).splitlines()
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Parameter, ParameterSet, Tensor, concat, take
+from .autograd import ParameterSet, Tensor, concat, take
 from .checkpoint import write_checkpoint
 from .data import MixedDataset, SampleRecord
 from .errors import ConfigurationError, ContractError, DivergenceError
@@ -131,29 +131,29 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
 class AdamW:
     """Decoupled weight decay; parameters without gradients are skipped."""
 
-    def __init__(self, params: list[Parameter], cfg: TrainConfig):
+    def __init__(self, params: list[Tensor], cfg: TrainConfig):
         self.params = list(params)
         self.cfg = cfg
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, lr: float) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for p in self.params:
+        for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            m = self.m[p.name] = c.beta1 * self.m[p.name] + (1.0 - c.beta1) * g
-            v = self.v[p.name] = c.beta2 * self.v[p.name] + (1.0 - c.beta2) * g * g
+            m = self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
+            v = self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
             p.data = p.data - lr * update - lr * c.weight_decay * p.data
 
 
-def clip_gradients(params: list[Parameter], max_norm: float) -> float:
+def clip_gradients(params: list[Tensor], max_norm: float) -> float:
     """Scale all gradients so their global l2 norm is at most max_norm."""
     total = 0.0
     grads = [p for p in params if p.grad is not None]
@@ -163,7 +163,7 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     if norm > max_norm:
         scale = max_norm / norm
         for p in grads:
-            p.tensor.grad = p.grad * scale
+            p.grad = p.grad * scale
     return norm
 
 

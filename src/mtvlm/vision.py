@@ -26,7 +26,7 @@ from .autograd import ParameterSet, Tensor, concat, linear
 from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
                      SpatialEnhanceParams, change_extract, grid_to_tokens)
 from .errors import ConfigurationError, ContractError, ShapeError
-from .fileio import write_atomic
+from .fileio import read_text, write_atomic
 
 KINDS = ("single", "pair", "video")
 
@@ -124,7 +124,7 @@ class PatchLinearEncoder:
         if h % d_p or w % d_p:
             raise ConfigurationError(
                 f"frame size {h}x{w} is not divisible by patch size {d_p}")
-        feats = [linear(Tensor(patchify(f, d_p)), self.weight.tensor, self.bias.tensor)
+        feats = [linear(Tensor(patchify(f, d_p)), self.weight, self.bias)
                  for f in vi.frames]
         return VisualFeatures(per_frame=feats, grid=(h // d_p, w // d_p))
 
@@ -175,8 +175,8 @@ class Projector:
                     f"projector expects depth {4 * self.d_v}, got {t.shape}")
             if t.shape[0] != per_unit:
                 raise ShapeError("frames disagree on token count")
-            hidden = linear(t, self.fc1_w.tensor, self.fc1_b.tensor).relu()
-            outs.append(linear(hidden, self.fc2_w.tensor, self.fc2_b.tensor))
+            hidden = linear(t, self.fc1_w, self.fc1_b).relu()
+            outs.append(linear(hidden, self.fc2_w, self.fc2_b))
         return VisualEmbeddings(values=concat(outs, axis=0), per_unit=per_unit)
 
 
@@ -240,8 +240,8 @@ def write_pixels(path: str | Path, frames: np.ndarray) -> None:
 def read_pixels(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
-        sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        sidecar = json.loads(read_text(path.with_suffix(".json"), ContractError))
+    except json.JSONDecodeError as exc:
         raise ContractError(f"{path}: sidecar is not valid JSON: {exc}") from exc
     shape = tuple(sidecar.get(key) if isinstance(sidecar, dict) else None
                   for key in ("k", "channels", "h", "w"))

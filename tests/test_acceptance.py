@@ -83,7 +83,7 @@ def test_criterion_01_gradient_suite():
             sp.w_embed.data = r.normal(size=2 * d_v) * 0.1
             f1 = Tensor(r.normal(size=(h * w, d_v)) + 1.0)
             f2 = Tensor(r.normal(size=(h * w, d_v)) - 1.0)
-            leaves = [f1, f2] + [p.tensor for p in ps.values()]
+            leaves = [f1, f2] + [p for p in ps.values()]
             reduce = scalarizer((d_v, h, w), r)
 
             def loss():
@@ -100,7 +100,7 @@ def test_criterion_01_gradient_suite():
             ps = ParameterSet()
             proj = Projector(d_v, dim, ps, np.random.default_rng(50 + trial))
             x = Tensor(r.normal(size=(l_d, 4 * d_v)))
-            leaves = [x] + [p.tensor for p in ps.values()]
+            leaves = [x] + [p for p in ps.values()]
             reduce = scalarizer((l_d, dim), r)
             gradcheck(lambda: reduce(proj.project([x]).values), leaves)
             instances += 1
@@ -118,7 +118,7 @@ def test_criterion_01_gradient_suite():
                      "lm.head.weight", "lm.block0.ln1.gain",
                      "lm.block1.attn.wo.weight"]
             picked = [names[(trial + i) % len(names)] for i in range(3)]
-            leaves = [rows] + [ps[p].tensor for p in picked]
+            leaves = [rows] + [ps[p] for p in picked]
             reduce = scalarizer((n, 6), r)
             gradcheck(lambda: reduce(model.forward(rows)), leaves)
             instances += 1
@@ -159,7 +159,7 @@ def test_criterion_02_identity_collapse():
             d = DualTimeFeatures(Tensor(f1), Tensor(f2), (h, w))
             got = change_extract(d, sp, fp)
             stacked = Tensor(np.concatenate([f1, f2], axis=1).T.reshape(2 * d_v, h, w))
-            want = conv2d(stacked, fp.conv_half_w.tensor, fp.conv_half_b.tensor)
+            want = conv2d(stacked, fp.conv_half_w, fp.conv_half_b)
             assert got.values.data.tobytes() == want.data.tobytes()
 
 

@@ -523,10 +523,10 @@ def test_parameter_set_basics():
     ps.add("encoder.proj.weight", np.ones((2, 2)))
     assert len(ps) == 3
     assert "lm.head.bias" in ps
-    assert [p.name for p in ps.with_prefix("lm.")] == ["lm.head.weight", "lm.head.bias"]
+    assert ps.with_prefix("lm.") == [ps["lm.head.weight"], ps["lm.head.bias"]]
     with pytest.raises(ContractError):
         ps.add("lm.head.weight", np.ones(1))
-    assert w.tensor.requires_grad
+    assert w.requires_grad
 
 
 def test_freeze_and_trainable():
@@ -536,7 +536,7 @@ def test_freeze_and_trainable():
     assert ps.freeze(()) == []
     frozen = ps.freeze(("encoder.",))
     assert frozen == ["encoder.w"]
-    assert [p.name for p in ps.trainable()] == ["lm.w"]
+    assert ps.trainable() == [ps["lm.w"]]
 
 
 def test_state_roundtrip_and_strictness():
@@ -561,10 +561,21 @@ def test_state_roundtrip_and_strictness():
         other.load_state({"a": np.zeros(3), "b": np.zeros((1, 1))})
 
 
+def test_load_state_copies_the_callers_arrays():
+    ps = ParameterSet()
+    ps.add("w", np.zeros(2))
+    state = {"w": np.array([1.0, 2.0])}
+    ps.load_state(state)
+    state["w"][0] = -5.0
+    assert ps["w"].data.tolist() == [1.0, 2.0]
+    ps["w"].data[1] = 7.0
+    assert state["w"].tolist() == [-5.0, 2.0]
+
+
 def test_zero_grads_clears_every_parameter():
     ps = ParameterSet()
     p = ps.add("w", np.array([2.0]))
-    (p.tensor * p.tensor).sum().backward()
+    (p * p).sum().backward()
     assert p.grad is not None
     ps.zero_grads()
     assert p.grad is None

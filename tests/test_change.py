@@ -142,7 +142,7 @@ def test_zeroed_module_reduces_to_halving_conv_bit_exactly():
         d = DualTimeFeatures(Tensor(f1), Tensor(f2), (h, w))
         got = change_extract(d, sp, fp)
         rearranged = Tensor(np.concatenate([f1, f2], axis=1).T.reshape(2 * d_v, h, w))
-        want = conv2d(rearranged, fp.conv_half_w.tensor, fp.conv_half_b.tensor)
+        want = conv2d(rearranged, fp.conv_half_w, fp.conv_half_b)
         assert got.values.data.tobytes() == want.data.tobytes()
 
 
@@ -153,7 +153,7 @@ def test_fresh_init_block_contributes_nothing():
     f1, f2 = r.normal(size=(4, 3)), r.normal(size=(4, 3))
     d = DualTimeFeatures(Tensor(f1), Tensor(f2), (2, 2))
     got = change_extract(d, sp, fp)
-    want = conv2d(spatial_enhance(d, sp), fp.conv_half_w.tensor, fp.conv_half_b.tensor)
+    want = conv2d(spatial_enhance(d, sp), fp.conv_half_w, fp.conv_half_b)
     assert got.values.data.tobytes() == want.data.tobytes()
 
 
@@ -183,7 +183,7 @@ def test_change_extract_gradcheck():
     sp.w_embed.data = r.normal(size=2 * d_v) * 0.1
     f1 = Tensor(r.normal(size=(4, d_v)) + 1.0)
     f2 = Tensor(r.normal(size=(4, d_v)) - 1.0)
-    leaves = [f1, f2] + [p.tensor for p in ps.values()]
+    leaves = [f1, f2] + [p for p in ps.values()]
     reduce = scalarizer((d_v, 2, 2), r)
 
     def loss():

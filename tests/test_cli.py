@@ -235,6 +235,15 @@ def test_manifest_line_that_is_not_an_object_exits_2(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+def test_non_utf8_manifest_exits_2_naming_the_file(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(b"\xff{}\n")
+    code = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err
+
+
 def test_divergence_exits_3(tmp_path, capsys):
     data = synth(tmp_path, kinds="single", n=2)
     code = main(["train", "--manifest", str(data / "manifest.jsonl"),
@@ -497,6 +506,22 @@ def test_inspect_pack_conservation(tmp_path):
     assert len(dump["rows"]) == dump["n"]
     sources = [row["source"] for row in dump["rows"]]
     assert sources.count("visual") == dump["markers"] * dump["l_d"]
+
+
+def test_inspect_pack_marks_the_answer_rows(tmp_path):
+    data = synth(tmp_path, kinds="pair", n=2, seed=7)
+    records = load_manifest(data / "manifest.jsonl")
+    out = tmp_path / "pack.json"
+    assert main(["inspect-pack", "--manifest", str(data / "manifest.jsonl"),
+                 "--id", records[0].id, "--out", str(out), *overrides()]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    vocab = MultiTemporalModel.build(pipeline_config(load_run_config(None, list(TINY))),
+                                     records).vocab
+    answer = vocab.encode(records[0].target) + [vocab.eos_id]
+    loss_rows = [row for row in rows if row["loss"]]
+    assert [row["source"] for row in loss_rows] == ["text"] * len(answer)
+    assert [row["token"] for row in loss_rows] == answer
+    assert loss_rows == rows[-len(answer):]
 
 
 def test_inspect_pack_unknown_id_exits_2(tmp_path, capsys):

@@ -1,15 +1,18 @@
-"""Every run file is replaced whole: a failed write leaves the old file."""
+"""Every run file is replaced whole: a failed write leaves the old file.
+Every text file is read as UTF-8, and one that is not is a documented error."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mtvlm import fileio
-from mtvlm.errors import ContractError
+from mtvlm.errors import ConfigurationError, ContractError
 from mtvlm.checkpoint import read_checkpoint, write_checkpoint
-from mtvlm.data import SampleRecord, load_manifest, save_manifest
+from mtvlm.cli import load_run_config
+from mtvlm.data import ManifestError, SampleRecord, load_manifest, save_manifest
 from mtvlm.lm import Vocab
 from mtvlm.metrics import read_predictions, write_predictions
 from mtvlm.prompting import ClueCache
@@ -129,3 +132,17 @@ def test_new_payload_under_old_sidecar_of_same_size_is_rejected(tmp_path, monkey
     assert json.loads(path.with_suffix(".json").read_text())["k"] == 1
     with pytest.raises(ContractError, match="crc32"):
         read_pixels(path)
+
+
+@pytest.mark.parametrize("read, error", [
+    (load_manifest, ManifestError),
+    (Vocab.load, ContractError),
+    (ClueCache.load, ContractError),
+    (read_predictions, ContractError),
+    (lambda path: load_run_config(str(path), []), ConfigurationError),
+], ids=["manifest", "vocab", "clue_cache", "predictions", "run_config"])
+def test_non_utf8_file_raises_documented_error_naming_it(tmp_path, read, error):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff{}\n")
+    with pytest.raises(error, match=re.escape(str(path))):
+        read(path)

@@ -200,12 +200,12 @@ def test_segmented_forward_gradcheck():
     def loss():
         return (model.forward(rows, lengths=[2, 1, 3]) * Tensor(w)).sum()
 
-    leaves = [rows, params["lm.block0.attn.wq.weight"].tensor,
-              params["lm.block0.attn.wv.bias"].tensor,
-              params["lm.pos.weight"].tensor,
-              params["lm.block0.mlp.fc1.weight"].tensor,
-              params["lm.ln_f.gain"].tensor,
-              params["lm.head.bias"].tensor]
+    leaves = [rows, params["lm.block0.attn.wq.weight"],
+              params["lm.block0.attn.wv.bias"],
+              params["lm.pos.weight"],
+              params["lm.block0.mlp.fc1.weight"],
+              params["lm.ln_f.gain"],
+              params["lm.head.bias"]]
     gradcheck(loss, leaves)
 
 
@@ -425,11 +425,11 @@ def test_lm_gradcheck():
     def loss():
         return (model.forward(rows) * Tensor(w)).sum()
 
-    leaves = [rows, params["lm.block0.attn.wq.weight"].tensor,
-              params["lm.pos.weight"].tensor,
-              params["lm.block0.mlp.fc1.weight"].tensor,
-              params["lm.ln_f.gain"].tensor,
-              params["lm.head.bias"].tensor]
+    leaves = [rows, params["lm.block0.attn.wq.weight"],
+              params["lm.pos.weight"],
+              params["lm.block0.mlp.fc1.weight"],
+              params["lm.ln_f.gain"],
+              params["lm.head.bias"]]
     gradcheck(loss, leaves)
 
 

@@ -1,10 +1,13 @@
 """Source hygiene checks that need no linter: every module-level import in
-``src/mtvlm`` is used by the module that makes it."""
+``src/mtvlm`` is used by the module that makes it, and every name the
+package exports exists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import mtvlm
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mtvlm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +39,11 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mtvlm.__all__ if not hasattr(mtvlm, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from mtvlm import *", namespace)
+    assert set(mtvlm.__all__) <= set(namespace)

@@ -8,7 +8,7 @@ import pytest
 
 from gradcheck import gradcheck
 from mtvlm import training
-from mtvlm.autograd import Parameter, ParameterSet, Tensor
+from mtvlm.autograd import ParameterSet, Tensor
 from mtvlm.data import synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, DivergenceError
 from mtvlm.lm import TinyCausalLM
@@ -138,10 +138,10 @@ def test_cross_entropy_gradcheck():
 
 # -- optimizer --------------------------------------------------------------------
 
-def param(name: str, value, grad=None) -> Parameter:
-    p = Parameter(name, Tensor(np.asarray(value, dtype=np.float64)))
+def param(name: str, value, grad=None) -> Tensor:
+    p = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
     if grad is not None:
-        p.tensor.grad = np.asarray(grad, dtype=np.float64)
+        p.grad = np.asarray(grad, dtype=np.float64)
     return p
 
 
@@ -172,7 +172,7 @@ def test_adamw_two_step_oracle():
     p = param("w", p0, grad=g1)
     opt = AdamW([p], cfg)
     opt.step(lr=0.05)
-    p.tensor.grad = g2
+    p.grad = g2
     opt.step(lr=0.02)
 
     m = v = np.zeros(2)
@@ -441,15 +441,15 @@ def check_batch_loss_matches_per_record_step(model, batch):
     loss.backward()
     interior = [t for t in nodes if t._backward is not None]
     assert interior and all(t.grad is None for t in interior)
-    batched = {p.name: p.grad.copy() for p in model.params.trainable()}
+    trainable = {n: p for n, p in model.params.items() if p.requires_grad}
+    batched = {n: p.grad.copy() for n, p in trainable.items()}
 
     model.params.zero_grads()
     want = per_record_loss(model, batch)
     assert loss.item() == pytest.approx(want.item(), rel=1e-12)
     want.backward()
-    for p in model.params.trainable():
-        np.testing.assert_allclose(batched[p.name], p.grad, rtol=0, atol=1e-12,
-                                   err_msg=p.name)
+    for n, p in trainable.items():
+        np.testing.assert_allclose(batched[n], p.grad, rtol=0, atol=1e-12, err_msg=n)
 
 
 def test_joint_batch_loss_and_gradients_match_per_record_step(synth_dir):
@@ -479,12 +479,12 @@ def test_joint_leaf_gradients_are_separate_arrays(synth_dir):
     model = make_model(out, records)
     model.params.freeze(JOINT_FREEZE)
     training._batch_loss(model, records[:4]).backward()
-    params = model.params.trainable()
-    before = [p.grad.copy() for p in params]
-    for i, p in enumerate(params):
+    named = [(n, p) for n, p in model.params.items() if p.requires_grad]
+    before = [p.grad.copy() for _, p in named]
+    for i, (n, p) in enumerate(named):
         p.grad[...] = 1e3 + i
-        for q, old in zip(params[i + 1:], before[i + 1:]):
-            assert q.grad.tobytes() == old.tobytes(), (p.name, q.name)
+        for (m, q), old in zip(named[i + 1:], before[i + 1:]):
+            assert q.grad.tobytes() == old.tobytes(), (n, m)
 
 
 def stage_under_test(stage, out, records):

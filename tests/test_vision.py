@@ -178,7 +178,7 @@ def test_projector_gradcheck():
     x = Tensor(r.normal(size=(2, 4)))
     reduce = scalarizer((2, 3), r)
     gradcheck(lambda: reduce(proj.project([x]).values),
-              [x] + [p.tensor for p in ps.values()])
+              [x] + [p for p in ps.values()])
 
 
 def test_embed_change_is_one_unit():
