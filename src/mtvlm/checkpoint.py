@@ -78,6 +78,3 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         out[name] = arr.reshape(shape)
     return out
 
-
-def load_into(path: str | Path, params: ParameterSet, strict: bool = True) -> None:
-    params.load_state(read_checkpoint(path), strict=strict)

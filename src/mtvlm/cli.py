@@ -166,9 +166,12 @@ def _kind_list(raw: str) -> list[str]:
 
 def _seed_list(raw: str) -> list[int]:
     try:
-        return [int(s) for s in raw.split(",") if s]
+        seeds = [int(s) for s in raw.split(",") if s]
     except ValueError:
+        seeds = []
+    if not seeds:
         raise argparse.ArgumentTypeError("expects comma-separated integers")
+    return seeds
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -210,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="run the pipeline over a manifest")
-    p.add_argument("--task", choices=("vqa", "cc", "video"), required=True)
+    p.add_argument("--task", choices=tuple(_TASKS), required=True)
     p.add_argument("--checkpoint", required=True,
                    help="model.ckpt written by train (vocab/config beside it)")
     p.add_argument("--manifest", required=True)
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score a predictions file")
-    p.add_argument("--task", choices=("vqa", "cc", "video"), required=True)
+    p.add_argument("--task", choices=tuple(_TASKS), required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--labels", default="era",
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=_seed_list, default=[0, 1, 2])
-    p.add_argument("--configs", default="joint,individual,no-change,no-clue")
+    p.add_argument("--configs", default=",".join(ABLATIONS))
     p.add_argument("--per-kind", type=_positive_int, default=8,
                    help="training records per kind")
     p.add_argument("--eval-n", type=_positive_int, default=8,
@@ -268,6 +271,13 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
+def _pretrain(pairs, cfg: RunConfig, data_dir: Path):
+    """Stage 1 on ``pairs`` with ``cfg``'s optimizer settings and model dims."""
+    return pretrain_change_module(
+        pairs, train_config(cfg), data_dir, patch=cfg.patch, d_v=cfg.d_v,
+        dim=cfg.dim, heads=cfg.lm_heads, max_seq=cfg.max_seq)
+
+
 def cmd_pretrain_change(args) -> int:
     cfg = load_run_config(args.config, args.override)
     if cfg.freeze != _DEFAULTS["freeze"]:
@@ -278,10 +288,7 @@ def cmd_pretrain_change(args) -> int:
     pairs = [r for r in records if r.kind == "pair"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    state, log = pretrain_change_module(
-        pairs, train_config(cfg), Path(args.manifest).parent,
-        patch=cfg.patch, d_v=cfg.d_v, dim=cfg.dim, heads=cfg.lm_heads,
-        max_seq=cfg.max_seq)
+    state, log = _pretrain(pairs, cfg, Path(args.manifest).parent)
     write_checkpoint(out / "stage1.ckpt", state)
     write_log(out / "pretrain_log.jsonl", log)
     if log:
@@ -309,7 +316,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-_TASK_KIND = {"vqa": "single", "cc": "pair", "video": "video"}
+# Each task's record kind, the predictions-row field that holds its gold
+# answer, and the report entry that ``ablate`` scores it by.
+_TASKS = {"vqa": ("single", "gold", "micro"),
+          "cc": ("pair", "references", "cider_d"),
+          "video": ("video", "gold", "overall_accuracy")}
 
 
 def _load_model(checkpoint: str | Path, data_dir: Path,
@@ -330,25 +341,28 @@ def _load_model(checkpoint: str | Path, data_dir: Path,
     return model
 
 
+def _prediction_rows(task: str, model: MultiTemporalModel, records) -> list[dict]:
+    """One predictions-file row per record: its prediction and gold answer."""
+    field = _TASKS[task][1]
+    rows = []
+    for r in records:
+        row = {"id": r.id, "prediction": model.predict(r)}
+        if task == "vqa":
+            row["category"] = r.category or "other"
+        row[field] = r.target if field == "gold" else r.references or [r.target]
+        rows.append(row)
+    return rows
+
+
 def cmd_infer(args) -> int:
-    kind = _TASK_KIND[args.task]
+    kind = _TASKS[args.task][0]
     records = [r for r in load_manifest(args.manifest) if r.kind == kind]
     if not records:
         raise ConfigurationError(
             f"manifest {args.manifest} has no records of kind {kind!r}")
     model = _load_model(args.checkpoint, Path(args.manifest).parent,
                         args.max_new)
-    rows = []
-    for r in records:
-        row = {"id": r.id, "prediction": model.predict(r)}
-        if args.task == "vqa":
-            row["category"] = r.category or "other"
-            row["gold"] = r.target
-        elif args.task == "cc":
-            row["references"] = r.references or [r.target]
-        else:
-            row["gold"] = r.target
-        rows.append(row)
+    rows = _prediction_rows(args.task, model, records)
     write_predictions(args.out, rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
@@ -362,31 +376,34 @@ def _labels_for(raw: str) -> tuple[str, ...]:
     return tuple(part for part in raw.split(",") if part)
 
 
+def _score(task: str, rows: list[dict], labels: tuple[str, ...],
+           strict: bool) -> tuple[dict, str]:
+    """``task``'s report on predictions rows, and its text table."""
+    if task == "vqa":
+        report = vqa_accuracy([VQARecord(category=row.get("category", "other"),
+                                         prediction=row["prediction"], gold=row["gold"])
+                               for row in rows])
+        return report, render_vqa_table(report)
+    if task == "cc":
+        report = cider_d([CaptionEntry(candidate=row["prediction"],
+                                       references=row["references"]) for row in rows])
+        return report, f"CIDEr-D: {report['cider_d']:.4f}"
+    report = classification_report([(row["prediction"], row["gold"]) for row in rows],
+                                   labels, strict=strict)
+    return report, render_classification_table(report)
+
+
 def cmd_eval(args) -> int:
     rows = read_predictions(args.predictions)
-    needed = "references" if args.task == "cc" else "gold"
+    needed = _TASKS[args.task][1]
     missing = [row["id"] for row in rows if needed not in row]
     if missing:
         raise ConfigurationError(
             f"{args.predictions}: rows missing {needed!r}: {missing[:3]}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.task == "vqa":
-        records = [VQARecord(category=row.get("category", "other"),
-                             prediction=row["prediction"], gold=row["gold"])
-                   for row in rows]
-        report = vqa_accuracy(records)
-        text = render_vqa_table(report)
-    elif args.task == "cc":
-        entries = [CaptionEntry(candidate=row["prediction"],
-                                references=row["references"]) for row in rows]
-        report = cider_d(entries)
-        text = f"CIDEr-D: {report['cider_d']:.4f}"
-    else:
-        pairs = [(row["prediction"], row["gold"]) for row in rows]
-        report = classification_report(pairs, _labels_for(args.labels),
-                                       strict=not args.lenient)
-        text = render_classification_table(report)
+    report, text = _score(args.task, rows, _labels_for(args.labels),
+                          strict=not args.lenient)
     write_atomic(out / "report.json", json.dumps(report, indent=2))
     write_atomic(out / "report.txt", text + "\n")
     print(text)
@@ -428,95 +445,71 @@ def cmd_lr_curve(args) -> int:
 
 # -- ablation battery ---------------------------------------------------------------
 
-def _eval_single(model, records) -> float:
-    recs = [VQARecord(category=r.category or "other",
-                      prediction=model.predict(r), gold=r.target)
-            for r in records]
-    return vqa_accuracy(recs)["micro"]
+# Each ablation config: its RunConfig changes, and its cells. A cell is one
+# model, trained and scored on a group of kinds, that starts either cold or
+# from the seed's stage-1 warmup of change module and projector. The warm
+# start is set per config, not read from the RunConfig, so an override of
+# use_change_module still leaves joint's projector warm.
+_KINDS = tuple(kind for kind, _, _ in _TASKS.values())
+ABLATIONS = {
+    "joint": ({}, [(_KINDS, True)]),
+    "individual": ({}, [(("single",), False), (("pair",), True), (("video",), False)]),
+    "no-change": ({"use_change_module": False}, [(_KINDS, False)]),
+    "no-clue": ({"use_clues": False}, [(_KINDS, True)]),
+}
+
+# the battery's recipe; a config file or --override still sets any of these
+ABLATE_RECIPE = {"batch_size": 4, "max_lr": 3e-3, "warmup_ratio": 0.05}
 
 
-def _eval_pair(model, records) -> float:
-    entries = [CaptionEntry(candidate=model.predict(r),
-                            references=r.references or [r.target])
-               for r in records]
-    return cider_d(entries)["cider_d"]
-
-
-def _eval_video(model, records) -> float:
-    pairs = [(model.predict(r), r.target) for r in records]
-    report = classification_report(pairs, SYNTH_VIDEO_CLASSES, strict=False)
-    return report["overall_accuracy"]
-
-
-_EVALS = {"single": _eval_single, "pair": _eval_pair, "video": _eval_video}
-
-
-def _train_eval_once(cfg: RunConfig, train_records, eval_by_kind, data_dir,
-                     seed: int, init: dict | None = None) -> dict[str, float]:
-    run = dataclasses.replace(cfg, seed=seed)
-    mixed = mix([train_records], seed)
+def _ablation_cell(run: RunConfig, train_records, eval_by_kind, data_dir: Path,
+                   init: dict | None) -> dict[str, float]:
+    """Train one model from ``init`` (or cold) and score it on each kind's
+    held-out records, as ``infer`` then ``eval --labels synthetic-video
+    --lenient`` would."""
+    mixed = mix([train_records], run.seed)
     model = MultiTemporalModel.build(pipeline_config(run),
                                      mixed.records + sum(eval_by_kind.values(), []),
                                      data_dir)
     if init:
         model.params.load_state(init, strict=False)
     train_joint(model, mixed, train_config(run))
-    return {kind: _EVALS[kind](model, recs)
-            for kind, recs in eval_by_kind.items() if recs}
-
-
-# the battery's recipe; a config file or --override still sets any of these
-ABLATE_RECIPE = {"batch_size": 4, "max_lr": 3e-3, "warmup_ratio": 0.05}
+    return {kind: _score(task, _prediction_rows(task, model, eval_by_kind[kind]),
+                         SYNTH_VIDEO_CLASSES, strict=False)[0][headline]
+            for task, (kind, _, headline) in _TASKS.items() if kind in eval_by_kind}
 
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.override, base=ABLATE_RECIPE)
     cfg = dataclasses.replace(cfg, total_steps=args.steps)
     wanted = [c for c in args.configs.split(",") if c]
-    known = ("joint", "individual", "no-change", "no-clue")
-    bad = [c for c in wanted if c not in known]
-    if bad:
-        raise ConfigurationError(f"unknown ablation configs: {bad}")
+    bad = [c for c in wanted if c not in ABLATIONS]
+    if bad or not wanted:
+        raise ConfigurationError(
+            f"ablation configs are {','.join(ABLATIONS)}; got {args.configs!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    kinds = ("single", "pair", "video")
     per_seed: dict[str, list[dict]] = {c: [] for c in wanted}
     for seed in args.seeds:
+        run = dataclasses.replace(cfg, seed=seed)
         data_dir = out / "data" / f"seed{seed}"
         train_by_kind = {k: synth_generate(k, args.per_kind, 100 + seed, data_dir)
-                         for k in kinds}
+                         for k in _KINDS}
         eval_by_kind = {k: synth_generate(k, args.eval_n, 200 + seed, data_dir,
                                           split="test")
-                        for k in kinds}
-        train_all = sum(train_by_kind.values(), [])
-        # configs that keep the change module start from a stage-1 warmup of
-        # change + projector on the pair subset, mirroring the two-stage recipe
-        stage1: dict | None = None
-        if any(c != "no-change" for c in wanted):
-            s1 = dataclasses.replace(train_config(cfg), seed=seed)
-            stage1, _ = pretrain_change_module(
-                train_by_kind["pair"], s1, data_dir,
-                patch=cfg.patch, d_v=cfg.d_v, dim=cfg.dim,
-                heads=cfg.lm_heads, max_seq=cfg.max_seq)
+                        for k in _KINDS}
+        stage1 = None
+        if any(warm for c in wanted for _, warm in ABLATIONS[c][1]):
+            stage1, _ = _pretrain(train_by_kind["pair"], run, data_dir)
         for name in wanted:
-            if name == "joint":
-                scores = _train_eval_once(cfg, train_all, eval_by_kind,
-                                          data_dir, seed, init=stage1)
-            elif name == "no-change":
-                run = dataclasses.replace(cfg, use_change_module=False)
-                scores = _train_eval_once(run, train_all, eval_by_kind,
-                                          data_dir, seed)
-            elif name == "no-clue":
-                run = dataclasses.replace(cfg, use_clues=False)
-                scores = _train_eval_once(run, train_all, eval_by_kind,
-                                          data_dir, seed, init=stage1)
-            else:
-                scores = {}
-                for k in kinds:
-                    scores.update(_train_eval_once(
-                        cfg, train_by_kind[k], {k: eval_by_kind[k]},
-                        data_dir, seed,
-                        init=stage1 if k == "pair" else None))
+            changes, cells = ABLATIONS[name]
+            scores = {}
+            for kinds, warm in cells:
+                scores.update(_ablation_cell(
+                    dataclasses.replace(run, **changes),
+                    sum((train_by_kind[k] for k in kinds), []),
+                    {k: eval_by_kind[k] for k in kinds}, data_dir,
+                    stage1 if warm else None))
             per_seed[name].append(scores)
     averaged = {name: {k: sum(s[k] for s in runs) / len(runs)
                        for k in runs[0]}

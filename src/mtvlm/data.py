@@ -14,7 +14,7 @@ trajectory classification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,6 @@ SYNTH_VIDEO_INSTRUCTION = ("Classify the given video in one of the following "
                            "classes. Classes: " + ", ".join(SYNTH_VIDEO_CLASSES) + ".")
 
 _KIND_REFS = {"single": 1, "pair": 2}
-_RECORD_KEYS = {"id", "dataset_tag", "kind", "visual_refs", "instruction",
-                "target", "references", "split", "category", "changed"}
 
 
 class ManifestError(ValueError):
@@ -96,6 +94,9 @@ class SampleRecord:
     def to_json(self) -> str:
         d = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(d, sort_keys=True, ensure_ascii=False)
+
+
+_RECORD_KEYS = {f.name for f in fields(SampleRecord)}
 
 
 def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[SampleRecord]:

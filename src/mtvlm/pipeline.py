@@ -131,7 +131,7 @@ class MultiTemporalModel:
         if not self._visual_frozen():
             return self._compute_units(record)
         if record.id not in self._unit_cache:
-            self._unit_cache[record.id] = [Tensor(u.data.copy())
+            self._unit_cache[record.id] = [u.detach()
                                            for u in self._compute_units(record)]
         return self._unit_cache[record.id]
 

@@ -119,7 +119,7 @@ class ClueCache:
     def load(cls, path: str | Path) -> "ClueCache":
         """Read the rows ``save`` writes; blank lines are skipped."""
         cache = cls()
-        lines = read_text(path, ContractError).splitlines()
+        lines = read_text(path, ContractError).split("\n")
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

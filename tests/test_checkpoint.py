@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtvlm.autograd import ParameterSet
-from mtvlm.checkpoint import MAGIC, load_into, read_checkpoint, write_checkpoint
+from mtvlm.checkpoint import MAGIC, read_checkpoint, write_checkpoint
 from mtvlm.errors import ContractError, ShapeError
 
 
@@ -99,7 +99,7 @@ def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
         for name, arr in state.items():
             np.testing.assert_array_equal(arr, ps[name].data)
         with pytest.raises(ContractError, match="missing"):
-            load_into(cut_path, sample_params())
+            sample_params().load_state(read_checkpoint(cut_path))
         prefixes += 1
     assert prefixes == len(names)      # the bare header and each record end
 
@@ -122,14 +122,14 @@ def test_load_into_strict_and_shapes(tmp_path):
 
     fresh = sample_params()
     fresh["lm.bias"].data = np.zeros(2)
-    load_into(path, fresh)
+    fresh.load_state(read_checkpoint(path))
     np.testing.assert_array_equal(fresh["lm.bias"].data, [-1.0, 2.5])
 
     partial = ParameterSet()
     partial.add("lm.bias", np.zeros(2))
     with pytest.raises(ContractError):
-        load_into(path, partial)           # unknown params in checkpoint
-    load_into(path, partial, strict=False)
+        partial.load_state(read_checkpoint(path))  # unknown params in checkpoint
+    partial.load_state(read_checkpoint(path), strict=False)
     np.testing.assert_array_equal(partial["lm.bias"].data, [-1.0, 2.5])
 
     wrong = ParameterSet()
@@ -137,4 +137,4 @@ def test_load_into_strict_and_shapes(tmp_path):
     wrong.add("lm.bias", np.zeros(3))
     wrong.add("change.w", np.zeros((2, 2, 1, 1)))
     with pytest.raises(ShapeError):
-        load_into(path, wrong)
+        wrong.load_state(read_checkpoint(path))

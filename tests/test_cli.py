@@ -4,6 +4,7 @@ import dataclasses
 import json
 import typing
 
+import numpy as np
 import pytest
 
 from mtvlm import cli, fileio
@@ -644,6 +645,62 @@ def test_ablate_keeps_explicit_recipe_values(tmp_path, monkeypatch):
 def test_ablate_rejects_unknown_config(tmp_path, capsys):
     assert main(["ablate", "--out", str(tmp_path / "x"), "--seeds", "0",
                  "--configs", "joint,mystery", *overrides()]) == 2
+
+
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_ablate_rejects_an_empty_seed_list_as_usage(tmp_path, capsys, seeds):
+    out = tmp_path / "ablation"
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", "--out", str(out), "--seeds", seeds, *overrides()])
+    assert err.value.code == 64
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "ablation.json").exists()
+
+
+@pytest.mark.parametrize("configs", ["", ","])
+def test_ablate_rejects_an_empty_config_list(tmp_path, capsys, configs):
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--out", str(out), "--seeds", "0",
+                 "--configs", configs, *overrides()]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "ablation.json").exists()
+
+
+@pytest.mark.parametrize("extra", [(), ("use_change_module=false",)],
+                         ids=["default", "no-change-module-override"])
+def test_ablate_cells_that_start_from_stage_one(tmp_path, monkeypatch, extra):
+    # Stage 1 warms change module and projector: joint and no-clue start from
+    # it, individual only for its pair model, no-change never; a config
+    # override of the change module does not move any of these.
+    real_pretrain = cli.pretrain_change_module
+    stage1 = {}
+
+    def pretrain(*args, **kwargs):
+        state, log = real_pretrain(*args, **kwargs)
+        # shifted, so a cold model can never match it by chance
+        stage1.update((n, a + 0.5) for n, a in state.items())
+        return dict(stage1), log
+
+    cells = []
+
+    def train_joint(model, mixed, cfg, **kwargs):
+        shared = [n for n in stage1 if n in model.params]
+        warm = bool(shared) and all(np.array_equal(model.params[n].data, stage1[n])
+                                    for n in shared)
+        cells.append((tuple(sorted({r.kind for r in mixed.records})), warm))
+        return []
+
+    monkeypatch.setattr(cli, "pretrain_change_module", pretrain)
+    monkeypatch.setattr(cli, "train_joint", train_joint)
+    assert main(["ablate", "--out", str(tmp_path / "ablation"), "--seeds", "0",
+                 "--per-kind", "2", "--eval-n", "1", "--steps", "2",
+                 *overrides("gen_max_new=4", *extra)]) == 0
+    every = ("pair", "single", "video")
+    assert cells == [(every, True),                           # joint
+                     (("single",), False), (("pair",), True),  # individual
+                     (("video",), False),
+                     (every, False),                          # no-change
+                     (every, True)]                           # no-clue
 
 
 @pytest.mark.parametrize("freeze", ["", "change.,projector.", "encoder."])

@@ -113,6 +113,22 @@ def test_clue_cache_roundtrip(tmp_path):
     assert path.read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"],
+                         ids=["line-sep", "para-sep", "nel"])
+def test_clue_cache_roundtrips_unicode_line_breaks(tmp_path, sep):
+    # json.dumps(ensure_ascii=False) leaves these unescaped inside a string,
+    # so load must split rows on "\n" alone
+    cache = ClueCache()
+    cache.put("h1", "p", f"a{sep}b")
+    cache.put("h2", "p", "plain")
+    path = tmp_path / "clues.jsonl"
+    cache.save(path)
+    again = ClueCache.load(path)
+    assert len(again) == 2
+    assert again.get("h1", "p") == f"a{sep}b"
+    assert again.get("h2", "p") == "plain"
+
+
 def test_clue_cache_empty_save(tmp_path):
     p = tmp_path / "empty.jsonl"
     ClueCache().save(p)
