@@ -329,17 +329,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
-    """2-d cross-correlation over a (C, H, W) input with (O, C, K, K) weights.
+    """2-d cross-correlation over a (C, H, W) input, or a (B, C, H, W) batch
+    of them, with (O, C, K, K) weights.
 
-    K must be odd; the output is (O, H - K + 1 + 2*padding, W - K + 1 + 2*padding).
+    K must be odd; the output is (O, H', W'), or (B, O, H', W') for a batch,
+    with H' = H - K + 1 + 2*padding and W' = W - K + 1 + 2*padding. A batch
+    runs as one im2col matrix, so each direction is one matmul however many
+    samples it holds.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be (C, H, W), got {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"conv2d input must be (C, H, W) or (B, C, H, W), got {x.shape}")
     if weight.ndim != 4:
         raise ShapeError(f"conv2d weight must be (O, C, K, K), got {weight.shape}")
     o, wc, kh, kw = weight.shape
-    c, h, w = x.shape
+    b = x.shape[0] if x.ndim == 4 else 1
+    c, h, w = x.shape[-3:]
     if kh != kw:
         raise ShapeError(f"conv2d kernel must be square, got {weight.shape}")
     k = kh
@@ -354,31 +359,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d output would be empty: input {x.shape}, k={k}, padding={padding}")
 
-    # im2col: one (C*K*K, ho*wo) column matrix, so each direction is a matmul
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo)
+    # im2col: one (C*K*K, B*ho*wo) column matrix, so each direction is a matmul
+    xp = x.data.reshape(b, c, h, w)
+    if padding:     # by slice assignment: np.pad costs more than a small conv
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data.reshape(b, c, h, w)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * ho * wo)
     w2 = weight.data.reshape(o, c * k * k)
-    out = (w2 @ cols).reshape(o, ho, wo)
+    out = w2 @ cols
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (o,):
             raise ShapeError(f"conv2d bias {bias.shape} vs weight {weight.shape}")
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None]
         parents.append(bias)
+    out = out.reshape(o, b, ho, wo)
+    out = out.reshape(o, ho, wo) if x.ndim == 3 else out.transpose(1, 0, 2, 3)
 
     def bw(g):
-        g2 = g.reshape(o, ho * wo)
-        dcols = (w2.T @ g2).reshape(c, k, k, ho, wo)
-        dxp = np.zeros_like(xp)
+        g2 = g.reshape(b, o, ho * wo).transpose(1, 0, 2).reshape(o, b * ho * wo)
+        dcols = (w2.T @ g2).reshape(c, k, k, b, ho, wo)
+        dxp = np.zeros((c, b) + xp.shape[2:])
         for i in range(k):
             for j in range(k):
-                dxp[:, i:i + ho, j:j + wo] += dcols[:, i, j]
-        _send(x, dxp[:, padding:padding + h, padding:padding + w])
+                dxp[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
+        _send(x, dxp[:, :, padding:padding + h, padding:padding + w].swapaxes(0, 1))
         _send(weight, g2 @ cols.T)
         if bias is not None:
-            _send(bias, g.sum(axis=(1, 2)))
+            _send(bias, g2.sum(axis=1))
 
     return _op(out, tuple(parents), bw)
 

@@ -11,6 +11,10 @@ convolutional stack carrying two residual paths:
 
 ``dist = 1 - cos`` vanishes exactly when the two frames carry identical
 features, so an unchanged scene passes through as a plain concatenation.
+
+Every step takes an optional leading batch axis: B pairs on one grid run
+through one cosine, one concatenation and one call per conv, as rows and
+maps stacked along that axis.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .errors import ShapeError
 
 @dataclass
 class DualTimeFeatures:
-    """Patch features of the two time points plus their spatial grid."""
+    """Patch features of the two time points plus their spatial grid:
+    (L_V, D_V) each for one pair, or (B, L_V, D_V) for a batch of B pairs."""
 
     f1: Tensor
     f2: Tensor
@@ -35,19 +40,20 @@ class DualTimeFeatures:
         if self.f1.shape != self.f2.shape:
             raise ShapeError(
                 f"dual-time features disagree: {self.f1.shape} vs {self.f2.shape}")
-        if self.f1.ndim != 2:
-            raise ShapeError(f"features must be (L_V, D_V), got {self.f1.shape}")
-        h, w = self.grid
-        if h * w != self.f1.shape[0]:
+        if self.f1.ndim not in (2, 3):
             raise ShapeError(
-                f"grid {self.grid} implies {h * w} positions, features have {self.f1.shape[0]}")
+                f"features must be (L_V, D_V) or (B, L_V, D_V), got {self.f1.shape}")
+        h, w = self.grid
+        if h * w != self.f1.shape[-2]:
+            raise ShapeError(
+                f"grid {self.grid} implies {h * w} positions, features have {self.f1.shape[-2]}")
 
 
 @dataclass
 class ChangeFeatureMap:
-    """Fused change features, one D_V-deep map over the patch grid."""
+    """Fused change features, one D_V-deep map over the patch grid per pair."""
 
-    values: Tensor  # (D_V, H', W')
+    values: Tensor  # (D_V, H', W'), or (B, D_V, H', W') for a batch
 
 
 class SpatialEnhanceParams:
@@ -88,41 +94,54 @@ class FusionParams:
 
 
 def tokens_to_grid(t: Tensor, grid: tuple[int, int]) -> Tensor:
-    """Rearrange (L, D) patch tokens to a (D, H, W) map, row-major."""
+    """Rearrange (L, D) patch tokens to a (D, H, W) map, row-major; a
+    (B, L, D) batch becomes (B, D, H, W)."""
     h, w = grid
-    if t.ndim != 2 or t.shape[0] != h * w:
+    if t.ndim not in (2, 3) or t.shape[-2] != h * w:
         raise ShapeError(f"cannot arrange {t.shape} onto grid {grid}")
-    return t.transpose(1, 0).reshape(t.shape[1], h, w)
+    *lead, _, d = t.shape
+    return t.transpose(*range(len(lead)), t.ndim - 1, t.ndim - 2).reshape(*lead, d, h, w)
 
 
 def grid_to_tokens(t: Tensor) -> Tensor:
-    """Inverse of :func:`tokens_to_grid`: (D, H, W) back to (L, D)."""
-    if t.ndim != 3:
-        raise ShapeError(f"expected (D, H, W), got {t.shape}")
-    d, h, w = t.shape
-    return t.reshape(d, h * w).transpose(1, 0)
+    """Inverse of :func:`tokens_to_grid`: (D, H, W) back to (L, D), and
+    (B, D, H, W) back to (B, L, D)."""
+    if t.ndim not in (3, 4):
+        raise ShapeError(f"expected (D, H, W) or (B, D, H, W), got {t.shape}")
+    *lead, d, h, w = t.shape
+    return t.reshape(*lead, d, h * w).transpose(*range(len(lead)), t.ndim - 2, t.ndim - 3)
 
 
 def spatial_enhance(d: DualTimeFeatures, p: SpatialEnhanceParams) -> Tensor:
     """Distance-embedded concatenation of the two time points.
 
-    Returns a (2*D_V, H', W') tensor on the tape.
+    Returns a (2*D_V, H', W') tensor on the tape, or (B, 2*D_V, H', W') for
+    a batch, whose B*L_V positions run as the rows of one cosine and one
+    concatenation.
     """
-    l_v, d_v = d.f1.shape
+    *lead, l_v, d_v = d.f1.shape
     if p.w_embed.data.shape != (2 * d_v,):
         raise ShapeError(
             f"w_embed has {p.w_embed.data.shape}, features need ({2 * d_v},)")
-    dist = (Tensor(np.ones(l_v)) - cosine_similarity(d.f1, d.f2)).reshape(l_v, 1)
+    f1, f2 = d.f1, d.f2
+    rows = l_v
+    if lead:
+        rows *= lead[0]
+        f1, f2 = f1.reshape(rows, d_v), f2.reshape(rows, d_v)
+    dist = (Tensor(np.ones(rows)) - cosine_similarity(f1, f2)).reshape(rows, 1)
     embedded = dist @ p.w_embed.reshape(1, 2 * d_v)
-    enhanced = embedded + concat([d.f1, d.f2], axis=1)
+    enhanced = embedded + concat([f1, f2], axis=1)
+    if lead:
+        enhanced = enhanced.reshape(*lead, l_v, 2 * d_v)
     return tokens_to_grid(enhanced, d.grid)
 
 
 def fuse(enhanced: Tensor, p: FusionParams) -> ChangeFeatureMap:
-    """Halve the depth, then add the three-layer conv refinement."""
-    if enhanced.ndim != 3 or enhanced.shape[0] != 2 * p.d_v:
+    """Halve the depth, then add the three-layer conv refinement, over one
+    map or a (B, 2*D_V, H, W) batch of them."""
+    if enhanced.ndim not in (3, 4) or enhanced.shape[-3] != 2 * p.d_v:
         raise ShapeError(
-            f"fuse expects ({2 * p.d_v}, H, W), got {enhanced.shape}")
+            f"fuse expects ([B,] {2 * p.d_v}, H, W), got {enhanced.shape}")
     mid = conv2d(enhanced, p.conv_half_w, p.conv_half_b)
     block = conv2d(mid, p.conv1_w, p.conv1_b).relu()
     block = conv2d(block, p.conv2_w, p.conv2_b, padding=1).relu()
@@ -132,5 +151,6 @@ def fuse(enhanced: Tensor, p: FusionParams) -> ChangeFeatureMap:
 
 def change_extract(d: DualTimeFeatures, sp: SpatialEnhanceParams,
                    fp: FusionParams) -> ChangeFeatureMap:
-    """Full change extraction: enhance, then fuse. Output (D_V, H', W')."""
+    """Full change extraction: enhance, then fuse. Output (D_V, H', W'), or
+    (B, D_V, H', W') for batched features."""
     return fuse(spatial_enhance(d, sp), fp)

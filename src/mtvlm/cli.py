@@ -171,6 +171,8 @@ def _seed_list(raw: str) -> list[int]:
         seeds = []
     if not seeds:
         raise argparse.ArgumentTypeError("expects comma-separated integers")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeats a seed: {raw!r}")
     return seeds
 
 
@@ -487,6 +489,8 @@ def cmd_ablate(args) -> int:
     if bad or not wanted:
         raise ConfigurationError(
             f"ablation configs are {','.join(ABLATIONS)}; got {args.configs!r}")
+    if len(set(wanted)) != len(wanted):
+        raise ConfigurationError(f"ablation configs repeat a name: {args.configs!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     per_seed: dict[str, list[dict]] = {c: [] for c in wanted}

@@ -40,6 +40,7 @@ CAPTION_UNCHANGED = "the two scenes seem identical"
 SYNTH_QUESTIONS = ("Is there a circle?", "Is there a square?",
                    "Are there more circles than squares?")
 SYNTH_ANSWER_SUFFIX = " Answer in one word or a short phrase."
+# LEVIR-CC's change-captioning instruction, which synthetic pairs carry too
 SYNTH_PAIR_INSTRUCTION = ("Please identify whether there are obvious remote "
                           "sensing image changes.")
 SYNTH_VIDEO_INSTRUCTION = ("Classify the given video in one of the following "

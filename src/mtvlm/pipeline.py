@@ -119,7 +119,7 @@ class MultiTemporalModel:
         vi = self.visual_input(record)
         feats = self.visual.encoder.encode(vi)
         if record.kind == "pair" and self.cfg.use_change_module:
-            return self.visual.change_embeddings(feats).units()
+            return self.visual.change_embeddings([feats]).units()
         return self.visual.projector.project(downsample(feats)).units()
 
     def _visual_frozen(self) -> bool:
@@ -189,6 +189,10 @@ class MultiTemporalModel:
         targets = [full.tokens[idx] if src == "text" else 0
                    for src, idx in packed.segment_map]
         return packed, targets, packed.loss_mask
+
+    def training_examples(self, records: list[SampleRecord]) -> list:
+        """``training_example`` of each record, in order."""
+        return [self.training_example(r) for r in records]
 
     def predict(self, record: SampleRecord) -> str:
         packed, _, _, _ = self.packed_example(record, [])

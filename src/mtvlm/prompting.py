@@ -14,7 +14,7 @@ import threading
 from pathlib import Path
 from typing import Callable
 
-from .data import ERA_LABELS
+from .data import ERA_LABELS, SYNTH_PAIR_INSTRUCTION
 from .errors import ContractError
 from .fileio import read_text, write_atomic
 from .packing import markers_for
@@ -23,7 +23,7 @@ from .vision import VisualInput
 # Fixed prompts handed to the clue-generating base model, keyed by kind.
 CLUE_PROMPTS = {
     "single": "Describe this remote sensing image in detail.",
-    "pair": "Please identify whether there are obvious remote sensing image changes.",
+    "pair": SYNTH_PAIR_INSTRUCTION,
     "video": "Please classify the scene in this video captured by the UAV.",
 }
 
@@ -33,8 +33,7 @@ TASK_TAGS = {
     "video": "Video scene classification:",
 }
 
-LEVIRCC_INSTRUCTION = ("Please identify whether there are obvious remote "
-                       "sensing image changes.")
+LEVIRCC_INSTRUCTION = SYNTH_PAIR_INSTRUCTION
 ERA_INSTRUCTION = ("Classify the given video in one of the following classes. "
                    "Classes: " + ", ".join(ERA_LABELS) + ".")
 

@@ -8,7 +8,8 @@ instruction data with the whole visual side frozen.
 Both stages run one optimizer loop, ``_fit``, with the schedule (linear
 warmup into cosine decay), AdamW and the next-token cross entropy below.
 Each step's loss is ``_batch_loss``: one forward of the model's ``lm``
-(the caption head, in stage 1) over the batch's ``training_example`` rows.
+(the caption head, in stage 1) over the rows of the batch's
+``training_examples``.
 Both build their visual side as a ``vision.VisualPath``, so they draw the
 same initial visual weights for the same seed and dims.
 """
@@ -218,21 +219,40 @@ class _CaptionStub:
         self.base_dir = base_dir
         self._features: dict[tuple[str, ...], VisualFeatures] = {}
 
-    def training_example(self, record: SampleRecord):
-        """The pair's change units, then bos, caption and eos, as ``_batch_loss`` takes them."""
+    def _encoded(self, record: SampleRecord) -> VisualFeatures:
         key = tuple(record.visual_refs)
         if key not in self._features:
             vi = load_visual(record.kind, record.visual_refs, self.base_dir)
             self._features[key] = self.visual.encoder.encode(vi)
-        unit = self.visual.change_embeddings(self._features[key])
-        ids = [self.vocab.bos_id] + self.vocab.encode(record.target) \
-            + [self.vocab.eos_id]
-        rows = concat([unit.values, self.lm.embed_ids(ids)], axis=0)
-        n_vis = unit.values.shape[0]
-        targets = [0] * n_vis + ids
-        mask = np.zeros(len(targets), dtype=bool)
-        mask[n_vis + 1:] = True        # supervise everything after bos
-        return PackedSequence(rows, mask), targets, mask
+        return self._features[key]
+
+    def training_examples(self, records: list[SampleRecord]) -> list:
+        """Each pair's change unit, then bos, caption and eos, as
+        ``_batch_loss`` takes them. The pairs go through one change
+        extraction per grid, which is one for pairs of one frame size."""
+        feats = [self._encoded(r) for r in records]
+        units: list = [None] * len(records)
+        by_grid: dict[tuple[int, int], list[int]] = {}
+        for i, f in enumerate(feats):
+            by_grid.setdefault(f.grid, []).append(i)
+        for idx in by_grid.values():
+            emb = self.visual.change_embeddings([feats[i] for i in idx])
+            for i, unit in zip(idx, emb.units()):
+                units[i] = unit
+        examples = []
+        for record, unit in zip(records, units):
+            ids = [self.vocab.bos_id] + self.vocab.encode(record.target) \
+                + [self.vocab.eos_id]
+            rows = concat([unit, self.lm.embed_ids(ids)], axis=0)
+            n_vis = unit.shape[0]
+            targets = [0] * n_vis + ids
+            mask = np.zeros(len(targets), dtype=bool)
+            mask[n_vis + 1:] = True        # supervise everything after bos
+            examples.append((PackedSequence(rows, mask), targets, mask))
+        return examples
+
+    def training_example(self, record: SampleRecord):
+        return self.training_examples([record])[0]
 
 
 def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
@@ -271,8 +291,9 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
                 checkpoint_path: str | Path | None = None) -> list[dict]:
     """Tune the unfrozen parameters on the mixed dataset.
 
-    ``model`` supplies ``params``, ``lm``, and ``training_example(record)``
-    returning (packed sequence, target ids, loss mask). Records are
+    ``model`` supplies ``params``, ``lm``, and ``training_examples(records)``
+    returning one (packed sequence, target ids, loss mask) per record, in
+    order. Records are
     consumed cyclically in the dataset's mixed order. Raises
     DivergenceError on a non-finite loss; the checkpoint and log are only
     written after a clean run.
@@ -292,7 +313,7 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
 def _batch_loss(model, batch: list[SampleRecord]) -> Tensor:
     """One LM forward over the batch's packed rows laid end to end, and the
     mean of the per-record answer losses."""
-    examples = [model.training_example(record) for record in batch]
+    examples = model.training_examples(batch)
     lengths = [packed.embeddings.shape[0] for packed, _, _ in examples]
     logits = model.lm.forward(concat([packed.embeddings for packed, _, _ in examples]),
                               lengths=lengths)

@@ -8,7 +8,8 @@ replace it. Downstream of the encoder:
 * ``downsample``: parameter-free 2x2 space-to-depth, L_V -> L_d = L_V/4
   tokens of depth 4*D_V;
 * ``Projector``: a two-layer MLP mapping each token to width D_P;
-* ``embed_change``: runs a fused change map through the same two stages.
+* ``embed_change``: runs fused change maps, one or a batch, through the
+  same two stages.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .autograd import ParameterSet, Tensor, concat, linear
 from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
-                     SpatialEnhanceParams, change_extract, grid_to_tokens)
+                     SpatialEnhanceParams, change_extract)
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fileio import read_text, write_atomic
 
@@ -129,17 +130,22 @@ class PatchLinearEncoder:
         return VisualFeatures(per_frame=feats, grid=(h // d_p, w // d_p))
 
 
+def _even_grid(grid: tuple[int, int]) -> tuple[int, int]:
+    h, w = grid
+    if h % 2:
+        raise ConfigurationError(f"downsample needs an even grid height, got {h}")
+    if w % 2:
+        raise ConfigurationError(f"downsample needs an even grid width, got {w}")
+    return h, w
+
+
 def downsample(f: VisualFeatures) -> list[Tensor]:
     """2x2 space-to-depth on every frame: (L_V, D_V) -> (L_d, 4*D_V).
 
     Each output token concatenates its 2x2 neighborhood depth-wise in
     top-left, top-right, bottom-left, bottom-right order.
     """
-    h, w = f.grid
-    if h % 2:
-        raise ConfigurationError(f"downsample needs an even grid height, got {h}")
-    if w % 2:
-        raise ConfigurationError(f"downsample needs an even grid width, got {w}")
+    h, w = _even_grid(f.grid)
     out = []
     for t in f.per_frame:
         d = t.shape[1]
@@ -181,11 +187,19 @@ class Projector:
 
 
 def embed_change(fmap: ChangeFeatureMap, projector: Projector) -> VisualEmbeddings:
-    """Project a change map exactly like a single image."""
-    d, h, w = fmap.values.shape
-    tokens = grid_to_tokens(fmap.values)
-    feats = VisualFeatures(per_frame=[tokens], grid=(h, w))
-    return projector.project(downsample(feats))
+    """Project a change map exactly like a single image, one unit per map.
+
+    A (B, D, H, W) batch is downsampled by one rearrangement into B*L_d
+    rows, token by token as ``downsample`` orders them, and projected by
+    one pass of the projector.
+    """
+    *lead, d, h, w = fmap.values.shape
+    h, w = _even_grid((h, w))
+    b = lead[0] if lead else 1
+    l_d = (h // 2) * (w // 2)
+    x = fmap.values.reshape(b, d, h // 2, 2, w // 2, 2)
+    x = x.transpose(0, 2, 4, 3, 5, 1).reshape(b * l_d, 4 * d)
+    return VisualEmbeddings(values=projector.project([x]).values, per_unit=l_d)
 
 
 class VisualPath:
@@ -200,10 +214,21 @@ class VisualPath:
         self.fusion = FusionParams(params, d_v, rng)
         self.projector = Projector(d_v, dim, params, rng)
 
-    def change_embeddings(self, feats: VisualFeatures) -> VisualEmbeddings:
-        """A pair's two encoded frames as one projected change unit."""
-        dual = DualTimeFeatures(f1=feats.per_frame[0], f2=feats.per_frame[1],
-                                grid=feats.grid)
+    def change_embeddings(self, feats: list[VisualFeatures]) -> VisualEmbeddings:
+        """Encoded pairs, two frames each and all on one grid, as one
+        projected change unit per pair, through one change extraction."""
+        grid = feats[0].grid
+        if any(f.grid != grid for f in feats):
+            raise ShapeError(f"pairs on grids {sorted({f.grid for f in feats})} "
+                             "cannot share a change extraction")
+
+        def frames(i):
+            if len(feats) == 1:
+                return feats[0].per_frame[i]
+            return concat([f.per_frame[i] for f in feats]).reshape(
+                len(feats), *feats[0].per_frame[i].shape)
+
+        dual = DualTimeFeatures(f1=frames(0), f2=frames(1), grid=grid)
         return embed_change(change_extract(dual, self.enhance, self.fusion),
                             self.projector)
 

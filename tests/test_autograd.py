@@ -121,6 +121,48 @@ def test_grad_conv2d():
               [x, w3, b])
 
 
+def test_grad_conv2d_batched():
+    r = rng_for(9)
+    x = Tensor(r.normal(size=(2, 2, 4, 4)))
+    w1 = Tensor(r.normal(size=(3, 2, 1, 1)))
+    w3 = Tensor(r.normal(size=(3, 2, 3, 3)))
+    b = Tensor(r.normal(size=3))
+    gradcheck(lambda: scalarizer((2, 3, 4, 4), rng_for(73))(conv2d(x, w1, b)), [x, w1, b])
+    gradcheck(lambda: scalarizer((2, 3, 6, 6), rng_for(74))(conv2d(x, w1, padding=1)),
+              [x, w1])
+    gradcheck(lambda: scalarizer((2, 3, 2, 2), rng_for(75))(conv2d(x, w3, b)), [x, w3, b])
+    gradcheck(lambda: scalarizer((2, 3, 4, 4), rng_for(76))(conv2d(x, w3, b, padding=1)),
+              [x, w3, b])
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1)])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_conv2d_batch_matches_single_sample_calls(k, padding, batch):
+    r = rng_for(30 + 4 * k + padding + batch)
+    xs = r.normal(size=(batch, 3, 5, 4))
+    w = Tensor(r.normal(size=(2, 3, k, k)), requires_grad=True)
+    b = Tensor(r.normal(size=2), requires_grad=True)
+    x = Tensor(xs, requires_grad=True)
+    out = conv2d(x, w, b, padding=padding)
+    g = r.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    got = out.data, x.grad, w.grad, b.grad
+
+    # the same weights, one sample at a time; their gradients add up
+    w.grad = b.grad = None
+    outs, dxs = [], []
+    for xi, gi in zip(xs, g):
+        xi = Tensor(xi, requires_grad=True)
+        yi = conv2d(xi, w, b, padding=padding)
+        (yi * Tensor(gi)).sum().backward()
+        outs.append(yi.data)
+        dxs.append(xi.grad)
+    want = np.stack(outs), np.stack(dxs), w.grad, b.grad
+    for a, e in zip(got, want):
+        assert a.shape == e.shape
+        np.testing.assert_allclose(a, e, rtol=0, atol=1e-12)
+
+
 def test_grad_cosine_similarity():
     r = rng_for(8)
     a = Tensor(r.normal(size=6))
@@ -494,6 +536,10 @@ def test_linear_conv_validation():
         conv2d(Tensor(np.ones((2, 1, 1))), Tensor(np.ones((3, 2, 3, 3))))
     with pytest.raises(ShapeError):
         conv2d(img, Tensor(np.ones((3, 2, 3, 3))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match=r"\(B, C, H, W\)"):
+        conv2d(Tensor(np.ones((1, 2, 2, 4, 4))), Tensor(np.ones((3, 2, 1, 1))))
+    with pytest.raises(ShapeError, match="channels disagree"):
+        conv2d(Tensor(np.ones((2, 2, 4, 4))), Tensor(np.ones((3, 5, 1, 1))))
 
 
 def test_gather_validation():

@@ -47,6 +47,17 @@ def test_grid_roundtrip():
     np.testing.assert_array_equal(back.data, t.data)
 
 
+def test_batched_grid_roundtrip_matches_each_sample():
+    r = np.random.default_rng(12)
+    t = Tensor(r.normal(size=(3, 6, 2)))
+    g = tokens_to_grid(t, (2, 3))
+    assert g.shape == (3, 2, 2, 3)
+    for b in range(3):
+        one = tokens_to_grid(Tensor(t.data[b]), (2, 3))
+        assert g.data[b].tobytes() == one.data.tobytes()
+    np.testing.assert_array_equal(grid_to_tokens(g).data, t.data)
+
+
 def test_grid_shape_errors():
     with pytest.raises(ShapeError):
         tokens_to_grid(Tensor(np.ones((4, 2))), (3, 2))
@@ -54,6 +65,10 @@ def test_grid_shape_errors():
         tokens_to_grid(Tensor(np.ones(4)), (2, 2))
     with pytest.raises(ShapeError):
         grid_to_tokens(Tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        tokens_to_grid(Tensor(np.ones((1, 2, 4, 2))), (2, 2))
+    with pytest.raises(ShapeError):
+        grid_to_tokens(Tensor(np.ones((1, 1, 2, 2, 2))))
 
 
 def test_dual_time_validation():
@@ -64,6 +79,12 @@ def test_dual_time_validation():
         DualTimeFeatures(Tensor(np.ones(4)), Tensor(np.ones(4)), (2, 2))
     with pytest.raises(ShapeError):
         DualTimeFeatures(Tensor(ok), Tensor(ok.copy()), (3, 2))
+    with pytest.raises(ShapeError):
+        DualTimeFeatures(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 6, 3))), (2, 2))
+    with pytest.raises(ShapeError):
+        DualTimeFeatures(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 4, 3))), (3, 2))
+    with pytest.raises(ShapeError):
+        DualTimeFeatures(Tensor(np.ones((1, 2, 4, 3))), Tensor(np.ones((1, 2, 4, 3))), (2, 2))
 
 
 # -- enhancement oracle ------------------------------------------------------------
@@ -172,6 +193,29 @@ def test_fuse_rejects_wrong_depth():
         fuse(Tensor(np.ones((3, 2, 2))), fp)
     with pytest.raises(ShapeError):
         fuse(Tensor(np.ones((4, 4))), fp)
+
+
+def test_batched_change_extract_matches_each_pair():
+    # one identical pair among changed ones: the batch keeps its collapse
+    r = np.random.default_rng(13)
+    d_v, grid = 3, (2, 4)
+    ps, sp, fp = make_params(d_v, seed=14)
+    sp.w_embed.data = r.normal(size=2 * d_v)
+    fp.conv3_w.data = r.normal(size=fp.conv3_w.data.shape) * 0.1
+    f1 = r.normal(size=(3, 8, d_v))
+    f2 = r.normal(size=(3, 8, d_v))
+    f2[1] = f1[1]
+    batched = DualTimeFeatures(Tensor(f1), Tensor(f2), grid)
+    enhanced = spatial_enhance(batched, sp)
+    fused = change_extract(batched, sp, fp).values
+    assert enhanced.shape == (3, 2 * d_v, 2, 4) and fused.shape == (3, d_v, 2, 4)
+    for b in range(3):
+        one = DualTimeFeatures(Tensor(f1[b]), Tensor(f2[b]), grid)
+        assert enhanced.data[b].tobytes() == spatial_enhance(one, sp).data.tobytes()
+        np.testing.assert_allclose(fused.data[b], change_extract(one, sp, fp).values.data,
+                                   rtol=0, atol=1e-12)
+    concat = np.concatenate([f1[1], f1[1]], axis=1).T.reshape(2 * d_v, *grid)
+    assert enhanced.data[1].tobytes() == concat.tobytes()
 
 
 # -- gradients through the whole module ----------------------------------------------

@@ -666,6 +666,29 @@ def test_ablate_rejects_an_empty_config_list(tmp_path, capsys, configs):
     assert not (out / "ablation.json").exists()
 
 
+@pytest.mark.parametrize("seeds", ["0,0", "1,0,1", "0,00"])
+def test_ablate_rejects_a_repeated_seed_as_usage(tmp_path, capsys, seeds):
+    # a repeated seed would train and average the same cells twice
+    out = tmp_path / "ablation"
+    with pytest.raises(SystemExit) as err:
+        main(["ablate", "--out", str(out), "--seeds", seeds, *overrides()])
+    assert err.value.code == 64
+    stderr = capsys.readouterr().err
+    assert "repeats a seed" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("configs", ["joint,joint", "joint,no-clue,joint"])
+def test_ablate_rejects_a_repeated_config_name(tmp_path, monkeypatch, capsys, configs):
+    monkeypatch.setattr(cli, "pretrain_change_module", None)  # never reached
+    out = tmp_path / "ablation"
+    assert main(["ablate", "--out", str(out), "--seeds", "0",
+                 "--configs", configs, *overrides()]) == 2
+    stderr = capsys.readouterr().err
+    assert "repeat" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [(), ("use_change_module=false",)],
                          ids=["default", "no-change-module-override"])
 def test_ablate_cells_that_start_from_stage_one(tmp_path, monkeypatch, extra):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck
-from mtvlm import training
+from mtvlm import change, training, vision
 from mtvlm.autograd import ParameterSet, Tensor
 from mtvlm.data import synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, DivergenceError
@@ -471,6 +471,74 @@ def test_stage1_batch_loss_and_gradients_match_per_record_step(tmp_path):
     stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
     lengths = {stub.training_example(r)[0].n for r in pairs}
     assert len(lengths) > 1                             # pad slots are exercised
+    check_batch_loss_matches_per_record_step(stub, pairs)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 4])
+def test_stage1_step_runs_one_change_extraction_for_the_batch(tmp_path, monkeypatch,
+                                                              n_pairs):
+    # the fusion stack has four convs; a chain per pair would run 4 * n_pairs
+    out = tmp_path / "pairs"
+    pairs = synth_generate("pair", n_pairs, 23, out)
+    stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
+    calls = []
+    real = change.conv2d
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape[0] if x.ndim == 4 else None)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(change, "conv2d", counting)
+    training._batch_loss(stub, pairs).backward()
+    assert calls == [n_pairs if n_pairs > 1 else None] * 4
+
+
+def test_stage1_batch_passes_each_unchanged_pair_through_as_concatenation(tmp_path,
+                                                                           monkeypatch):
+    out = tmp_path / "pairs"
+    pairs = synth_generate("pair", 8, 24, out)
+    assert {r.changed for r in pairs} == {True, False}
+    stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
+    stub.visual.enhance.w_embed.data = np.random.default_rng(5).normal(
+        size=stub.visual.enhance.w_embed.data.shape)     # nonzero on purpose
+    seen = []
+    real = change.spatial_enhance
+
+    def recording(d, p):
+        enhanced = real(d, p)
+        seen.append((d, enhanced))
+        return enhanced
+
+    monkeypatch.setattr(change, "spatial_enhance", recording)
+    training._batch_loss(stub, pairs)
+    [(d, enhanced)] = seen
+    assert enhanced.shape[0] == len(pairs)
+    h, w = d.grid
+    for b, record in enumerate(pairs):
+        f1, f2 = d.f1.data[b], d.f2.data[b]
+        assert (f1.tobytes() == f2.tobytes()) == (not record.changed)
+        concat = np.concatenate([f1, f2], axis=1).T.reshape(-1, h, w)
+        assert (enhanced.data[b].tobytes() == concat.tobytes()) == (not record.changed)
+
+
+def test_stage1_batch_of_two_frame_sizes_matches_per_record_step(tmp_path, monkeypatch):
+    # pairs on different grids cannot share one change extraction, so each
+    # grid gets its own
+    out = tmp_path / "pairs"
+    pairs = synth_generate("pair", 2, 25, out) + synth_generate("pair", 2, 26, out,
+                                                                h=16, w=16)
+    pairs = [pairs[0], pairs[2], pairs[1], pairs[3]]
+    stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
+    extractions = []
+    real = vision.change_extract
+
+    def recording(d, *args):
+        extractions.append(d.f1.shape)
+        return real(d, *args)
+
+    monkeypatch.setattr(vision, "change_extract", recording)
+    training._batch_loss(stub, pairs)
+    assert sorted(extractions) == [(2, 4, 4), (2, 16, 4)]
     check_batch_loss_matches_per_record_step(stub, pairs)
 
 

@@ -11,6 +11,7 @@ from mtvlm.change import ChangeFeatureMap
 from mtvlm.errors import ConfigurationError, ContractError, ShapeError
 from mtvlm.vision import (
     EncoderConfig, PatchLinearEncoder, Projector, VisualFeatures, VisualInput,
+    VisualPath,
     downsample, embed_change, load_visual, patchify, read_pixels,
     sample_frames, write_pixels,
 )
@@ -188,6 +189,45 @@ def test_embed_change_is_one_unit():
     emb = embed_change(fmap, proj)
     assert emb.per_unit == 2 and emb.values.shape == (2, 5)
     assert len(emb.units()) == 1
+
+
+def test_embed_change_batch_is_one_unit_per_map():
+    ps = ParameterSet()
+    proj = Projector(d_v=3, dim=5, params=ps, rng=np.random.default_rng(12))
+    maps = np.random.default_rng(13).normal(size=(3, 3, 4, 2))
+    emb = embed_change(ChangeFeatureMap(values=Tensor(maps)), proj)
+    assert emb.per_unit == 2 and emb.values.shape == (6, 5)
+    units = emb.units()
+    assert len(units) == 3
+    for m, unit in zip(maps, units):
+        one = embed_change(ChangeFeatureMap(values=Tensor(m)), proj)
+        np.testing.assert_allclose(unit.data, one.values.data, rtol=0, atol=1e-12)
+
+
+def test_embed_change_orders_tokens_like_downsample():
+    ps = ParameterSet()
+    proj = Projector(d_v=2, dim=4, params=ps, rng=np.random.default_rng(14))
+    tokens = np.random.default_rng(15).normal(size=(8, 2))       # a 2 x 4 grid
+    fmap = ChangeFeatureMap(values=Tensor(tokens.T.reshape(2, 2, 4)))
+    want = proj.project(downsample(VisualFeatures(per_frame=[Tensor(tokens)],
+                                                  grid=(2, 4))))
+    assert embed_change(fmap, proj).values.data.tobytes() == want.values.data.tobytes()
+    with pytest.raises(ConfigurationError):
+        embed_change(ChangeFeatureMap(values=Tensor(np.ones((2, 3, 2)))), proj)
+
+
+def test_change_embeddings_batch_pairs_of_one_grid_only():
+    path = VisualPath(ParameterSet(), np.random.default_rng(16), patch=8, d_v=2, dim=4)
+    r = np.random.default_rng(17)
+
+    def pair(n, grid):
+        return VisualFeatures(per_frame=[Tensor(r.normal(size=(n, 2))) for _ in range(2)],
+                              grid=grid)
+
+    emb = path.change_embeddings([pair(8, (2, 4)), pair(8, (2, 4))])
+    assert len(emb.units()) == 2 and emb.per_unit == 2
+    with pytest.raises(ShapeError, match="grids"):
+        path.change_embeddings([pair(8, (2, 4)), pair(8, (4, 2))])
 
 
 # -- frame sampling ----------------------------------------------------------------------
