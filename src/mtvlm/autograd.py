@@ -171,13 +171,18 @@ class Tensor:
     # -- structure ---------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
+        """The same elements in a new shape. Every dimension is given: a
+        negative one (numpy's "infer this one") is a ``ShapeError``."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if int(np.prod(shape)) != self.data.size:
-            raise ShapeError(f"cannot reshape {self.shape} to {tuple(shape)}")
-        old = self.shape
-        return _op(self.data.reshape(shape), (self,),
-                   lambda g: _send(self, g.reshape(old)))
+        if min(shape, default=0) < 0:
+            raise ShapeError(f"cannot reshape {self.shape} to {shape}: negative dimension")
+        try:
+            data = self.data.reshape(shape)
+        except ValueError:
+            raise ShapeError(f"cannot reshape {self.shape} to {shape}") from None
+        # _send reshapes a gradient to its tensor's shape
+        return _op(data, (self,), lambda g: _send(self, g))
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
@@ -186,9 +191,12 @@ class Tensor:
             axes = tuple(axes[0])
         if sorted(axes) != list(range(self.ndim)):
             raise ShapeError(f"transpose axes {axes} invalid for shape {self.shape}")
-        inverse = tuple(np.argsort(axes))
-        return _op(np.ascontiguousarray(self.data.transpose(axes)), (self,),
-                   lambda g: _send(self, np.ascontiguousarray(g.transpose(inverse))))
+
+        def bw(g):
+            inverse = tuple(np.argsort(axes))
+            _send(self, np.ascontiguousarray(g.transpose(inverse)))
+
+        return _op(np.ascontiguousarray(self.data.transpose(axes)), (self,), bw)
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         if not (0 <= axis < self.ndim):
@@ -196,8 +204,7 @@ class Tensor:
         if start < 0 or length <= 0 or start + length > self.shape[axis]:
             raise ShapeError(
                 f"narrow [{start}:{start + length}] exceeds axis {axis} of shape {self.shape}")
-        index = tuple(slice(None) if a != axis else slice(start, start + length)
-                      for a in range(self.ndim))
+        index = (slice(None),) * axis + (slice(start, start + length),)
 
         def bw(g):
             full = np.zeros_like(self.data)
@@ -209,9 +216,9 @@ class Tensor:
     # -- nonlinear reductions ----------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = self.data - self.data.max(axis=axis, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=axis, keepdims=True)
 
         def bw(g):
             inner = (g * y).sum(axis=axis, keepdims=True)
@@ -220,13 +227,11 @@ class Tensor:
         return _op(y, (self,), bw)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = shifted - logz
-        soft = np.exp(out)
+        out = self.data - self.data.max(axis=axis, keepdims=True)
+        out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
 
         def bw(g):
-            _send(self, g - soft * g.sum(axis=axis, keepdims=True))
+            _send(self, g - np.exp(out) * g.sum(axis=axis, keepdims=True))
 
         return _op(out, (self,), bw)
 
@@ -238,7 +243,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def _same_shape(opname: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname} needs matching shapes, got {a.shape} and {b.shape}")
 
 
@@ -256,12 +261,22 @@ def no_grad() -> Iterator[None]:
         _recording.reset(token)
 
 
+_new_tensor = object.__new__
+
+
 def _op(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    out = Tensor(data, requires_grad=_recording.get()
-                 and any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
+    """The result of an op, built without ``Tensor.__init__``'s checks.
+
+    ``data`` must be a C-contiguous float64 array: every op hands over
+    such an array (a test pins this for each of them), so the checks would
+    only cost time. The one exception is numpy arithmetic on 0-d arrays,
+    which returns a scalar.
+    """
+    out = _new_tensor(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = out._pass_grad = None
+    out.requires_grad = _recording.get() and any(p.requires_grad for p in parents)
+    out._parents, out._backward = (parents, backward) if out.requires_grad else ((), None)
     return out
 
 
@@ -291,10 +306,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     for t in tensors[1:]:
         if t.ndim != nd:
             raise ShapeError(f"concat rank mismatch: {tensors[0].shape} vs {t.shape}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = tuple(slice(None) if a != (axis % nd) else slice(lo, hi)
                           for a in range(nd))
@@ -306,18 +320,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight.T + bias`` with weight shaped (out, in) and x (n, in)."""
     x, weight = _as_tensor(x), _as_tensor(weight)
-    if x.ndim != 2 or weight.ndim != 2:
-        raise ShapeError(f"linear needs 2-d x and weight, got {x.shape} and {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"linear input width {x.shape} vs weight {weight.shape}")
+    xs, ws = x.data.shape, weight.data.shape
+    if len(xs) != 2 or len(ws) != 2:
+        raise ShapeError(f"linear needs 2-d x and weight, got {xs} and {ws}")
+    if xs[1] != ws[1]:
+        raise ShapeError(f"linear input width {xs} vs weight {ws}")
     out = x.data @ weight.data.T
-    parents = [x, weight]
+    parents = (x, weight)
     if bias is not None:
         bias = _as_tensor(bias)
-        if bias.shape != (weight.shape[0],):
-            raise ShapeError(f"linear bias {bias.shape} vs weight {weight.shape}")
-        out = out + bias.data
-        parents.append(bias)
+        if bias.data.shape != ws[:1]:
+            raise ShapeError(f"linear bias {bias.shape} vs weight {ws}")
+        out += bias.data
+        parents = (x, weight, bias)
 
     def bw(g):
         _send(x, g @ weight.data)
@@ -325,7 +340,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             _send(bias, g.sum(axis=0))
 
-    return _op(out, tuple(parents), bw)
+    return _op(out, parents, bw)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int = 0) -> Tensor:
@@ -376,7 +391,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
         out += bias.data[:, None]
         parents.append(bias)
     out = out.reshape(o, b, ho, wo)
-    out = out.reshape(o, ho, wo) if x.ndim == 3 else out.transpose(1, 0, 2, 3)
+    out = (out.reshape(o, ho, wo) if x.ndim == 3
+           else np.ascontiguousarray(out.transpose(1, 0, 2, 3)))
 
     def bw(g):
         g2 = g.reshape(b, o, ho * wo).transpose(1, 0, 2).reshape(o, b * ho * wo)
@@ -420,11 +436,11 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
                      np.maximum(np.sqrt(sa), eps) * np.maximum(np.sqrt(sb), eps),
                      np.sqrt(sa * sb))
     c = dot / denom
-    # a clamped norm is a constant, so its branch contributes nothing
-    ka = np.divide(c, sa, out=np.zeros_like(c), where=~clamp_a)[:, None]
-    kb = np.divide(c, sb, out=np.zeros_like(c), where=~clamp_b)[:, None]
 
     def bw(g):
+        # a clamped norm is a constant, so its branch contributes nothing
+        ka = np.divide(c, sa, out=np.zeros_like(c), where=~clamp_a)[:, None]
+        kb = np.divide(c, sb, out=np.zeros_like(c), where=~clamp_b)[:, None]
         g = g.reshape(-1, 1)
         _send(a, g * (b2 / denom[:, None] - ka * a2))
         _send(b, g * (a2 / denom[:, None] - kb * b2))
@@ -448,7 +464,7 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(dt, idx, g)
         _send(table, dt)
 
-    return _op(table.data[idx].copy(), (table,), bw)
+    return _op(table.data[idx], (table,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -457,10 +473,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine must be ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # the arithmetic of ndarray.mean and .var, centring once instead of twice
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(out, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
 
     def bw(g):
         lead = tuple(range(x.ndim - 1))
@@ -471,7 +488,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (gg * xhat).mean(axis=-1, keepdims=True)
         _send(x, inv * (gg - m1 - xhat * m2))
 
-    return _op(xhat * gain.data + bias.data, (x, gain, bias), bw)
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return _op(out, (x, gain, bias), bw)
 
 
 def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
@@ -493,7 +512,7 @@ def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
         np.add.at(dt, (r, c), g)
         _send(t, dt)
 
-    return _op(t.data[r, c].copy(), (t,), bw)
+    return _op(t.data[r, c], (t,), bw)
 
 
 # -- parameters ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import ParameterSet, Tensor
+from .autograd import ParameterSet, Tensor, no_grad
 from .data import (CAPTION_CHANGED, CAPTION_UNCHANGED, ERA_LABELS,
                    SYNTH_ANSWER_SUFFIX, SYNTH_PAIR_INSTRUCTION,
                    SYNTH_QUESTIONS, SYNTH_VIDEO_CLASSES,
@@ -195,9 +195,12 @@ class MultiTemporalModel:
         return [self.training_example(r) for r in records]
 
     def predict(self, record: SampleRecord) -> str:
-        packed, _, _, _ = self.packed_example(record, [])
-        ids = self.lm.generate(packed.embeddings, self.cfg.gen_max_new,
-                               self.vocab.eos_id)
+        """Greedy answer for one record. The whole request, visual units and
+        packing included, runs without a tape."""
+        with no_grad():
+            packed, _, _, _ = self.packed_example(record, [])
+            ids = self.lm.generate(packed.embeddings, self.cfg.gen_max_new,
+                                   self.vocab.eos_id)
         return self.vocab.decode(ids)
 
     def invalidate_caches(self) -> None:

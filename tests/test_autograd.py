@@ -324,6 +324,96 @@ def test_grad_take_with_duplicates():
     gradcheck(lambda: reduce(take(t, rows, cols)), [t])
 
 
+# -- rewritten ops against their former implementations ---------------------------
+#
+# Each reference is the earlier numpy code of an op: its forward, and its
+# backward for an upstream gradient g. The current ops reorder that work to
+# allocate less, and must still agree with it byte for byte.
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(x.ndim - 1))
+    gg = g * gain
+    m1 = gg.mean(axis=-1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias,
+            [inv * (gg - m1 - xhat * m2), (g * xhat).sum(axis=lead), g.sum(axis=lead)])
+
+
+def ref_softmax(x, g, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, [y * (g - (g * y).sum(axis=axis, keepdims=True))]
+
+
+def ref_log_softmax(x, g, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    out = shifted - logz
+    soft = np.exp(out)
+    return out, [g - soft * g.sum(axis=axis, keepdims=True)]
+
+
+def ref_concat(xs, g, axis):
+    offsets = np.cumsum([0] + [x.shape[axis] for x in xs])
+    grads = [np.take(g, range(lo, hi), axis=axis) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return np.concatenate(xs, axis=axis), grads
+
+
+def ref_transpose(x, g, axes):
+    inverse = tuple(np.argsort(axes))
+    return (np.ascontiguousarray(x.transpose(axes)),
+            [np.ascontiguousarray(g.transpose(inverse))])
+
+
+def rewritten_case(name, r, rows, width):
+    """(op on leaf tensors, reference on their arrays, leaf arrays)."""
+    scale = 10.0 ** r.uniform(-2, 2)
+    x = r.normal(size=(rows, width)) * scale + r.normal()
+    if name == "layer_norm":
+        return (lambda t: layer_norm(*t), lambda a, g: ref_layer_norm(*a, g),
+                [x, r.uniform(0.5, 1.5, size=width), r.normal(size=width)])
+    if name in ("softmax", "log_softmax"):
+        axis = int(r.integers(-1, 1))
+        ref = ref_softmax if name == "softmax" else ref_log_softmax
+        if rows % 2 == 0 and r.integers(2):      # attention's 4-d scores
+            x = x.reshape(rows // 2, 2, 1, width).transpose(0, 2, 1, 3).copy()
+        return (lambda t: getattr(t[0], name)(axis=axis),
+                lambda a, g: ref(a[0], g, axis), [x])
+    if name == "concat":
+        axis = int(r.integers(0, 2))
+        widths = [width, int(r.integers(1, 9))]
+        xs = [r.normal(size=(rows, w) if axis else (w, rows)) * scale for w in widths]
+        return (lambda t: concat(t, axis=axis), lambda a, g: ref_concat(a, g, axis), xs)
+    axes = tuple(int(i) for i in r.permutation(4))
+    x4 = x.reshape(rows, 1, width, 1)
+    return (lambda t: t[0].transpose(axes), lambda a, g: ref_transpose(a[0], g, axes), [x4])
+
+
+@pytest.mark.parametrize("width", [8, 16, 64, 65])
+@pytest.mark.parametrize("name", ["layer_norm", "softmax", "log_softmax", "concat",
+                                  "transpose"])
+def test_rewritten_op_matches_its_former_code_byte_for_byte(name, width):
+    r = rng_for(1000 * len(name) + width)
+    for rows in [1, 2, 64] + [int(n) for n in r.integers(1, 65, size=5)]:
+        op, ref, arrays = rewritten_case(name, r, rows, width)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(leaves)
+        g = r.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        want, grads = ref([a.copy() for a in arrays], g)
+        assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
+        for leaf, grad in zip(leaves, grads):
+            assert leaf.grad.shape == grad.shape
+            assert leaf.grad.tobytes() == np.ascontiguousarray(grad).tobytes()
+        with no_grad():
+            assert op(leaves).data.tobytes() == out.data.tobytes()
+
+
 # -- tape semantics -------------------------------------------------------------
 
 def test_repeated_backward_accumulates():
@@ -432,8 +522,10 @@ def every_op():
 
     a, b, w, x = leaf(3, 4), leaf(3, 4), leaf(4, 2), leaf(2, 5, 5)
     u, v, k, kb = leaf(6), leaf(6), leaf(3, 2, 3, 3), leaf(3)
+    xb = leaf(2, 2, 4, 3)
     return {
         "add": lambda: a + b, "sub": lambda: a - b, "neg": lambda: -a,
+        "add_0d": lambda: a.sum() + b.sum(),
         "mul": lambda: a * b, "scale": lambda: a.scale(0.3),
         "scale_tensor": lambda: a.scale(u.narrow(0, 0, 1).reshape(())),
         "matmul": lambda: a @ w, "relu": lambda: a.relu(), "sum": lambda: a.sum(),
@@ -442,6 +534,7 @@ def every_op():
         "log_softmax": lambda: a.log_softmax(), "concat": lambda: concat([a, b]),
         "linear": lambda: linear(a, w.transpose(), u.narrow(0, 0, 2)),
         "conv2d": lambda: conv2d(x, k, kb, padding=1),
+        "conv2d_batched": lambda: conv2d(xb, k, kb, padding=1),
         "cosine_similarity": lambda: cosine_similarity(u, v),
         "embedding": lambda: embedding(a, [2, 0, 2]),
         "layer_norm": lambda: layer_norm(a, u.narrow(0, 0, 4), v.narrow(0, 2, 4)),
@@ -459,6 +552,22 @@ def test_no_grad_records_nothing_and_computes_the_same(name):
     assert not quiet.requires_grad
     assert quiet._parents == () and quiet._backward is None
     assert quiet.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(every_op()))
+def test_every_op_returns_a_fresh_contiguous_float64_array(name):
+    # results skip Tensor.__init__, so each op must hand over such an array;
+    # only reshape's result is a view of its input
+    op = every_op()[name]
+    taped = op()
+    with no_grad():
+        quiet = op()
+    for t in (taped, quiet):
+        assert type(t.data) is np.ndarray
+        assert t.data.dtype == np.float64 and t.data.flags["C_CONTIGUOUS"]
+        assert t.grad is None and t._pass_grad is None
+        aliased = [np.shares_memory(t.data, p.data) for p in taped._parents]
+        assert aliased == [name == "reshape"] * len(aliased)
 
 
 def test_no_grad_restores_recording_on_exit_and_on_raise():
@@ -500,6 +609,15 @@ def test_shape_errors():
         a.narrow(0, 0, 0)
     with pytest.raises(ShapeError):
         a.scale(Tensor([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("shape", [(-2, -3), (-1, -6), (2, -1), (-1,), (-6,), (3, -2)])
+def test_reshape_rejects_every_negative_dimension(shape):
+    a = Tensor(np.arange(6.0), requires_grad=True)
+    with pytest.raises(ShapeError):
+        a.reshape(*shape)
+    with pytest.raises(ShapeError):
+        a.reshape(shape)
 
 
 def test_matmul_shape_errors():

@@ -1,0 +1,120 @@
+"""The A/B driver's summary, fed canned perfbench result lines.
+
+No test here runs the benchmark: ``summarise`` and its helpers are pure.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def line(correct=True, failed=0, **values):
+    """A result line as perfbench prints it."""
+    return json.dumps({"correct": correct, "attempted": 10, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "x"} for k, v in values.items()}})
+
+
+def pair(seed, base, change, workload="decode", index=0):
+    return {"workload": workload, "seed": seed, "first": bench_ab.first_side(index),
+            "base": bench_ab.result_line('{"info": {}}\n' + base),
+            "change": bench_ab.result_line('{"info": {}}\n' + change)}
+
+
+def test_parse_seeds():
+    assert bench_ab.parse_seeds("82-85,90") == [82, 83, 84, 85, 90]
+    assert bench_ab.parse_seeds("7") == [7]
+    for bad in ("", "3,3", "1-3,2"):
+        with pytest.raises(ValueError):
+            bench_ab.parse_seeds(bad)
+
+
+def test_sides_alternate_which_runs_first():
+    assert [bench_ab.first_side(i) for i in range(4)] == ["base", "change"] * 2
+
+
+def test_result_line_is_the_last_stdout_line():
+    assert bench_ab.result_line('{"info": 1}\n{"correct": true}\n') == {"correct": True}
+    with pytest.raises(ValueError):
+        bench_ab.result_line("")
+
+
+def test_a_clear_gain_is_a_gain_with_its_medians_quartiles_and_ratios():
+    pairs = [pair(s, line(tokens_per_s=100.0 + s, peak_rss_mb=70.0),
+                  line(tokens_per_s=130.0 + s, peak_rss_mb=70.0), index=s)
+             for s in range(10)]
+    out = bench_ab.summarise(pairs, SPEC)["decode"]
+    assert out["pairs_run"] == out["pairs_used"] == 10 and out["excluded"] == []
+    tps = out["metrics"]["tokens_per_s"]
+    assert tps["base"]["median"] == 104.5 and tps["change"]["median"] == 134.5
+    assert (tps["base"]["q1"], tps["base"]["q3"]) == (102.25, 106.75)
+    assert tps["ratios"] == [(130.0 + s) / (100.0 + s) for s in range(10)]
+    assert tps["wins"] == 10 and tps["verdict"] == "gain"
+    assert tps["bound"] == 0.25 and tps["better"] == "higher"
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 0 and rss["verdict"] == "within bound"
+    assert set(out["metrics"]) == {"tokens_per_s", "peak_rss_mb"}
+
+
+def test_eight_wins_of_ten_is_no_gain():
+    pairs = [pair(s, line(tokens_per_s=100.0), line(tokens_per_s=140.0 if s < 8 else 90.0))
+             for s in range(10)]
+    tps = bench_ab.summarise(pairs, SPEC)["decode"]["metrics"]["tokens_per_s"]
+    assert tps["wins"] == 8 and tps["verdict"] == "within bound"
+
+
+def test_a_pair_with_an_incorrect_side_is_listed_and_left_out():
+    pairs = [pair(1, line(tokens_per_s=100.0), line(tokens_per_s=120.0)),
+             pair(2, line(correct=False, failed=125, tokens_per_s=10.0),
+                  line(tokens_per_s=120.0)),
+             pair(3, line(tokens_per_s=100.0), line(correct=False, tokens_per_s=1.0)),
+             pair(4, line(tokens_per_s=102.0), line(tokens_per_s=121.0))]
+    out = bench_ab.summarise(pairs, SPEC)["decode"]
+    assert out["pairs_run"] == 4 and out["pairs_used"] == 2
+    assert out["excluded"] == [
+        {"seed": 2, "base_correct": False, "change_correct": True},
+        {"seed": 3, "base_correct": True, "change_correct": False}]
+    assert out["failed_ops"] == {"base": 125, "change": 0}
+    tps = out["metrics"]["tokens_per_s"]
+    assert tps["base"]["values"] == [100.0, 102.0]
+    assert tps["change"]["values"] == [120.0, 121.0]
+
+
+@pytest.mark.parametrize("base,change,want", [
+    ([10.0] * 6, [13.0] * 6, "worse"),                       # 30% slower > 0.25
+    ([10.0] * 6, [12.0] * 6, "within bound"),                # 20% slower
+    ([6.0, 8.0, 10.0, 12.0, 14.0, 16.0], [11.0] * 6, "unresolved"),
+    ([6.0, 8.0, 10.0, 12.0, 14.0, 16.0], [5.0] * 6, "gain"),
+])
+def test_lower_is_better_verdicts(base, change, want):
+    pairs = [pair(i, line(step_ms_p50=b), line(step_ms_p50=c))
+             for i, (b, c) in enumerate(zip(base, change))]
+    got = bench_ab.summarise(pairs, SPEC)["decode"]["metrics"]["step_ms_p50"]
+    assert got["verdict"] == want
+
+
+def test_traced_counts_that_differ_are_named():
+    base = {"correct": True, "metrics": {"autograd.tape_nodes": {"value": 110},
+                                         "autograd.op.linear.calls": {"value": 30},
+                                         "lm.forward_ms": {"value": 5.0}}}
+    same = json.loads(json.dumps(base))
+    same["metrics"]["lm.forward_ms"]["value"] = 4.0        # a time, not a count
+    assert bench_ab.count_mismatches(base, same, SPEC) == []
+    moved = json.loads(json.dumps(same))
+    moved["metrics"]["autograd.tape_nodes"]["value"] = 103
+    del moved["metrics"]["autograd.op.linear.calls"]
+    assert bench_ab.count_mismatches(base, moved, SPEC) == [
+        "autograd.tape_nodes", "autograd.op.linear.calls"]
+    out = bench_ab.summarise([], SPEC, [{"workload": "joint", "seed": 1,
+                                         "base": base, "change": moved}])
+    assert out["joint"]["traced"]["count_mismatches"] == [
+        "autograd.tape_nodes", "autograd.op.linear.calls"]
+    assert out["joint"]["traced"]["change"]["autograd.tape_nodes"] == 103

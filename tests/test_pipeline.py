@@ -170,3 +170,30 @@ def test_checkpoint_roundtrip_preserves_predictions(synth_dir, tmp_path):
     target.invalidate_caches()
     for r in records:
         assert target.predict(r) == source.predict(r)
+
+
+def test_predict_runs_the_whole_request_off_the_tape(synth_dir, tmp_path, monkeypatch):
+    out, records = synth_dir
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, MultiTemporalModel.build(CFG, records, out).params.state())
+    model = MultiTemporalModel.build(CFG, records, out)
+    model.params.load_state(read_checkpoint(path))
+    assert not model._visual_frozen()      # a fresh model's units are not cached
+
+    generate, prefixes = model.lm.generate, []
+
+    def spy(prefix, *args):
+        prefixes.append(prefix)
+        return generate(prefix, *args)
+
+    monkeypatch.setattr(model.lm, "generate", spy)
+    for r in records:
+        # the same request with the tape recording up to generate
+        packed = model.packed_example(r, [])[0]
+        assert packed.embeddings._parents
+        taped = model.vocab.decode(generate(packed.embeddings, CFG.gen_max_new,
+                                            model.vocab.eos_id))
+        prefixes.clear()
+        assert model.predict(r) == taped
+        [prefix] = prefixes
+        assert not prefix.requires_grad and prefix._parents == ()
