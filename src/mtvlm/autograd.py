@@ -390,9 +390,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
             raise ShapeError(f"conv2d bias {bias.shape} vs weight {weight.shape}")
         out += bias.data[:, None]
         parents.append(bias)
-    out = out.reshape(o, b, ho, wo)
-    out = (out.reshape(o, ho, wo) if x.ndim == 3
-           else np.ascontiguousarray(out.transpose(1, 0, 2, 3)))
+    out = np.ascontiguousarray(out.reshape(o, b, ho, wo).transpose(1, 0, 2, 3))
+    out = out.reshape(x.shape[:-3] + (o, ho, wo))
 
     def bw(g):
         g2 = g.reshape(b, o, ho * wo).transpose(1, 0, 2).reshape(o, b * ho * wo)

@@ -123,17 +123,12 @@ def spatial_enhance(d: DualTimeFeatures, p: SpatialEnhanceParams) -> Tensor:
     if p.w_embed.data.shape != (2 * d_v,):
         raise ShapeError(
             f"w_embed has {p.w_embed.data.shape}, features need ({2 * d_v},)")
-    f1, f2 = d.f1, d.f2
-    rows = l_v
-    if lead:
-        rows *= lead[0]
-        f1, f2 = f1.reshape(rows, d_v), f2.reshape(rows, d_v)
+    rows = l_v * (lead[0] if lead else 1)
+    f1, f2 = d.f1.reshape(rows, d_v), d.f2.reshape(rows, d_v)
     dist = (Tensor(np.ones(rows)) - cosine_similarity(f1, f2)).reshape(rows, 1)
     embedded = dist @ p.w_embed.reshape(1, 2 * d_v)
     enhanced = embedded + concat([f1, f2], axis=1)
-    if lead:
-        enhanced = enhanced.reshape(*lead, l_v, 2 * d_v)
-    return tokens_to_grid(enhanced, d.grid)
+    return tokens_to_grid(enhanced.reshape(*lead, l_v, 2 * d_v), d.grid)
 
 
 def fuse(enhanced: Tensor, p: FusionParams) -> ChangeFeatureMap:

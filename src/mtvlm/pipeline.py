@@ -26,7 +26,7 @@ from .packing import TokenizedPrompt, pack, row_layout, supervision_mask
 from .prompting import (CLUE_PROMPTS, TASK_TAGS, ClueCache,
                         ClueUnavailableError, build_prompt, generate_clue,
                         instruction_for_dataset)
-from .vision import VisualInput, VisualPath, downsample, load_visual
+from .vision import VisualInput, VisualPath, load_visual
 
 # Words the synthetic generators can emit in instructions or answers,
 # so a model never meets an out-of-vocabulary token on its own data.
@@ -120,7 +120,7 @@ class MultiTemporalModel:
         feats = self.visual.encoder.encode(vi)
         if record.kind == "pair" and self.cfg.use_change_module:
             return self.visual.change_embeddings([feats]).units()
-        return self.visual.projector.project(downsample(feats)).units()
+        return self.visual.frame_embeddings(feats).units()
 
     def _visual_frozen(self) -> bool:
         return all(not p.requires_grad for n, p in self.params.items()

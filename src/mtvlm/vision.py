@@ -2,14 +2,14 @@
 
 The encoder here is a deterministic stand-in: non-overlapping patchify
 followed by a frozen seeded linear map. Anything exposing ``encode`` with
-the same output contract (per-frame (L_V, D_V) features plus a grid) can
-replace it. Downstream of the encoder:
+the same output contract (one (k, L_V, D_V) tensor of a record's k frames
+plus a grid) can replace it. All k frames run through each stage at once:
 
-* ``downsample``: parameter-free 2x2 space-to-depth, L_V -> L_d = L_V/4
-  tokens of depth 4*D_V;
+* ``downsample``: parameter-free 2x2 space-to-depth on the token grid,
+  L_V -> L_d = L_V/4 tokens of depth 4*D_V;
 * ``Projector``: a two-layer MLP mapping each token to width D_P;
 * ``embed_change``: runs fused change maps, one or a batch, through the
-  same two stages.
+  same space-to-depth and projector.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .autograd import ParameterSet, Tensor, concat, linear
 from .change import (ChangeFeatureMap, DualTimeFeatures, FusionParams,
-                     SpatialEnhanceParams, change_extract)
+                     SpatialEnhanceParams, change_extract, tokens_to_grid)
 from .errors import ConfigurationError, ContractError, ShapeError
 from .fileio import read_text, write_atomic
 
@@ -45,6 +45,8 @@ class VisualInput:
         self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 4 or self.frames.shape[1] != 3:
             raise ShapeError(f"frames must be (k, 3, h, w), got {self.frames.shape}")
+        if 0 in self.frames.shape[2:]:
+            raise ShapeError(f"frames must have positive h and w, got {self.frames.shape}")
         k = self.frames.shape[0]
         if self.kind == "single" and k != 1:
             raise ContractError(f"single input needs 1 frame, got {k}")
@@ -82,7 +84,7 @@ class EncoderConfig:
 
 @dataclass
 class VisualFeatures:
-    per_frame: list[Tensor]   # k tensors, each (L_V, D_V)
+    frames: Tensor            # (k, L_V, D_V): frame after frame
     grid: tuple[int, int]
 
 
@@ -98,14 +100,13 @@ class VisualEmbeddings:
         return [self.values.narrow(0, i * self.per_unit, self.per_unit) for i in range(n)]
 
 
-def patchify(frame: np.ndarray, d_p: int) -> np.ndarray:
-    """Split (3, h, w) into row-major d_p x d_p patches, each flattened
-    channel-major to length 3*d_p*d_p."""
-    c, h, w = frame.shape
-    gh, gw = h // d_p, w // d_p
-    x = frame.reshape(c, gh, d_p, gw, d_p)
-    x = x.transpose(1, 3, 0, 2, 4)          # (gh, gw, c, d_p, d_p)
-    return np.ascontiguousarray(x).reshape(gh * gw, c * d_p * d_p)
+def patchify(frames: np.ndarray, d_p: int) -> np.ndarray:
+    """Split (..., 3, h, w) frames into row-major d_p x d_p patches, each
+    flattened channel-major to a row of 3*d_p*d_p, frame after frame."""
+    *_, c, h, w = frames.shape
+    x = frames.reshape(-1, c, h // d_p, d_p, w // d_p, d_p)
+    x = x.transpose(0, 2, 4, 1, 3, 5)       # (frame, gh, gw, c, d_p, d_p)
+    return np.ascontiguousarray(x).reshape(-1, c * d_p * d_p)
 
 
 class PatchLinearEncoder:
@@ -125,34 +126,30 @@ class PatchLinearEncoder:
         if h % d_p or w % d_p:
             raise ConfigurationError(
                 f"frame size {h}x{w} is not divisible by patch size {d_p}")
-        feats = [linear(Tensor(patchify(f, d_p)), self.weight, self.bias)
-                 for f in vi.frames]
-        return VisualFeatures(per_frame=feats, grid=(h // d_p, w // d_p))
+        gh, gw = h // d_p, w // d_p
+        feats = linear(Tensor(patchify(vi.frames, d_p)), self.weight, self.bias)
+        return VisualFeatures(frames=feats.reshape(vi.k, gh * gw, self.cfg.d_v), grid=(gh, gw))
 
 
-def _even_grid(grid: tuple[int, int]) -> tuple[int, int]:
-    h, w = grid
-    if h % 2:
-        raise ConfigurationError(f"downsample needs an even grid height, got {h}")
-    if w % 2:
-        raise ConfigurationError(f"downsample needs an even grid width, got {w}")
-    return h, w
+def _space_to_depth(maps: Tensor) -> Tensor:
+    """2x2 space-to-depth of a (D, H, W) map or a (B, D, H, W) batch of
+    them into (B*L_d, 4*D) rows, map after map, L_d = (H/2)*(W/2).
 
-
-def downsample(f: VisualFeatures) -> list[Tensor]:
-    """2x2 space-to-depth on every frame: (L_V, D_V) -> (L_d, 4*D_V).
-
-    Each output token concatenates its 2x2 neighborhood depth-wise in
-    top-left, top-right, bottom-left, bottom-right order.
+    Each row concatenates its 2x2 neighborhood depth-wise in top-left,
+    top-right, bottom-left, bottom-right order.
     """
-    h, w = _even_grid(f.grid)
-    out = []
-    for t in f.per_frame:
-        d = t.shape[1]
-        x = t.reshape(h // 2, 2, w // 2, 2, d)
-        x = x.transpose(0, 2, 1, 3, 4)
-        out.append(x.reshape((h // 2) * (w // 2), 4 * d))
-    return out
+    *lead, d, h, w = maps.shape
+    for side, n in (("height", h), ("width", w)):
+        if n % 2:
+            raise ConfigurationError(f"downsample needs an even grid {side}, got {n}")
+    x = maps.reshape(math.prod(lead), d, h // 2, 2, w // 2, 2)
+    return x.transpose(0, 2, 4, 3, 5, 1).reshape(maps.data.size // (4 * d), 4 * d)
+
+
+def downsample(f: VisualFeatures) -> Tensor:
+    """2x2 space-to-depth on every frame at once: (k, L_V, D_V) ->
+    (k*L_d, 4*D_V), frame after frame."""
+    return _space_to_depth(tokens_to_grid(f.frames, f.grid))
 
 
 class Projector:
@@ -171,35 +168,36 @@ class Projector:
         self.fc2_b = params.add(prefix + "fc2.bias", np.zeros(dim))
 
     def project(self, f_d: list[Tensor]) -> VisualEmbeddings:
+        """(L_d, 4*D_V) units, all through one fc1/relu/fc2 pass."""
         if not f_d:
             raise ContractError("project called with no frames")
         per_unit = f_d[0].shape[0]
-        outs = []
         for t in f_d:
             if t.shape[1] != 4 * self.d_v:
                 raise ShapeError(
                     f"projector expects depth {4 * self.d_v}, got {t.shape}")
             if t.shape[0] != per_unit:
                 raise ShapeError("frames disagree on token count")
-            hidden = linear(t, self.fc1_w, self.fc1_b).relu()
-            outs.append(linear(hidden, self.fc2_w, self.fc2_b))
-        return VisualEmbeddings(values=concat(outs, axis=0), per_unit=per_unit)
+        x = f_d[0] if len(f_d) == 1 else concat(f_d, axis=0)
+        hidden = linear(x, self.fc1_w, self.fc1_b).relu()
+        return VisualEmbeddings(values=linear(hidden, self.fc2_w, self.fc2_b),
+                                per_unit=per_unit)
+
+
+def _embed(rows: Tensor, grid: tuple[int, int], projector: Projector) -> VisualEmbeddings:
+    """Project space-to-depth rows of maps on ``grid``, one unit per map."""
+    h, w = grid
+    return VisualEmbeddings(values=projector.project([rows]).values,
+                            per_unit=(h // 2) * (w // 2))
 
 
 def embed_change(fmap: ChangeFeatureMap, projector: Projector) -> VisualEmbeddings:
     """Project a change map exactly like a single image, one unit per map.
 
-    A (B, D, H, W) batch is downsampled by one rearrangement into B*L_d
-    rows, token by token as ``downsample`` orders them, and projected by
-    one pass of the projector.
+    A (B, D, H, W) batch goes through ``downsample``'s space-to-depth into
+    B*L_d rows and one pass of the projector.
     """
-    *lead, d, h, w = fmap.values.shape
-    h, w = _even_grid((h, w))
-    b = lead[0] if lead else 1
-    l_d = (h // 2) * (w // 2)
-    x = fmap.values.reshape(b, d, h // 2, 2, w // 2, 2)
-    x = x.transpose(0, 2, 4, 3, 5, 1).reshape(b * l_d, 4 * d)
-    return VisualEmbeddings(values=projector.project([x]).values, per_unit=l_d)
+    return _embed(_space_to_depth(fmap.values), fmap.values.shape[-2:], projector)
 
 
 class VisualPath:
@@ -214,6 +212,10 @@ class VisualPath:
         self.fusion = FusionParams(params, d_v, rng)
         self.projector = Projector(d_v, dim, params, rng)
 
+    def frame_embeddings(self, feats: VisualFeatures) -> VisualEmbeddings:
+        """Every encoded frame as one projected unit, all through one pass."""
+        return _embed(downsample(feats), feats.grid, self.projector)
+
     def change_embeddings(self, feats: list[VisualFeatures]) -> VisualEmbeddings:
         """Encoded pairs, two frames each and all on one grid, as one
         projected change unit per pair, through one change extraction."""
@@ -221,14 +223,11 @@ class VisualPath:
         if any(f.grid != grid for f in feats):
             raise ShapeError(f"pairs on grids {sorted({f.grid for f in feats})} "
                              "cannot share a change extraction")
-
-        def frames(i):
-            if len(feats) == 1:
-                return feats[0].per_frame[i]
-            return concat([f.per_frame[i] for f in feats]).reshape(
-                len(feats), *feats[0].per_frame[i].shape)
-
-        dual = DualTimeFeatures(f1=frames(0), f2=frames(1), grid=grid)
+        _, l_v, d_v = feats[0].frames.shape
+        # (2, B*L_V, D_V): each time point's frames of all pairs, pair after pair
+        times = concat([f.frames for f in feats], axis=1)
+        f1, f2 = (times.narrow(0, i, 1).reshape(len(feats), l_v, d_v) for i in (0, 1))
+        dual = DualTimeFeatures(f1=f1, f2=f2, grid=grid)
         return embed_change(change_extract(dual, self.enhance, self.fusion),
                             self.projector)
 
@@ -287,15 +286,18 @@ def read_pixels(path: str | Path) -> np.ndarray:
 
 def load_visual(kind: str, refs: list[str | Path], base_dir: str | Path | None = None,
                 max_frames: int | None = None) -> VisualInput:
-    """Assemble a VisualInput from one pixel file per frame reference."""
+    """Assemble a VisualInput from one pixel file per frame reference, all
+    holding frames of one size."""
+    if not refs:
+        raise ContractError(f"{kind} input has no frame references")
     base = Path(base_dir) if base_dir is not None else None
-    frames = []
-    for ref in refs:
-        p = Path(ref)
-        if base is not None and not p.is_absolute():
-            p = base / p
-        arr = read_pixels(p)
-        frames.append(arr)
+    paths = [base / p if base is not None and not p.is_absolute() else p
+             for p in map(Path, refs)]
+    frames = [read_pixels(p) for p in paths]
+    for p, arr in zip(paths, frames):
+        if arr.shape[1:] != frames[0].shape[1:]:
+            raise ContractError(f"{p}: frames of shape {arr.shape[1:]} do not match "
+                                f"{paths[0]}'s {frames[0].shape[1:]}")
     stacked = np.concatenate(frames, axis=0)
     if kind == "video" and max_frames is not None and stacked.shape[0] > max_frames:
         stacked = sample_frames(stacked, max_frames)

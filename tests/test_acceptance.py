@@ -425,6 +425,7 @@ def test_criterion_08_overfit(tmp_path):
 
 # -- 9: ablation battery -----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_ablation(tmp_path):
     with criterion(9, "ablation battery, change module helps pairs"):
         out = tmp_path / "ablation"

@@ -16,6 +16,7 @@ from mtvlm.errors import ConfigurationError
 from mtvlm.metrics import write_predictions
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
 from mtvlm.training import JOINT_FREEZE, TrainConfig, lr_at
+from mtvlm.vision import write_pixels
 from test_fileio import HalfWrite
 
 # small dims keep in-process CLI runs near-instant
@@ -402,6 +403,20 @@ def test_infer_rejects_bad_vocab_file(tmp_path, capsys):
         assert code == 2, content
         assert "vocab.json" in err and "Traceback" not in err
         assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_infer_on_frames_of_different_sizes_exits_2_naming_the_file(tmp_path, capsys):
+    data, run = trained_run(tmp_path, kinds="pair", steps=2)
+    record = load_manifest(data / "manifest.jsonl")[0]
+    odd = data / record.visual_refs[1]
+    write_pixels(odd, np.zeros((1, 3, 16, 16)))
+    code = main(["infer", "--task", "cc",
+                 "--checkpoint", str(run / "model.ckpt"),
+                 "--manifest", str(data / "manifest.jsonl"),
+                 "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert odd.name in err and "Traceback" not in err
 
 
 def test_infer_rejects_kindless_manifest(tmp_path, capsys):

@@ -490,7 +490,7 @@ def test_stage1_step_runs_one_change_extraction_for_the_batch(tmp_path, monkeypa
 
     monkeypatch.setattr(change, "conv2d", counting)
     training._batch_loss(stub, pairs).backward()
-    assert calls == [n_pairs if n_pairs > 1 else None] * 4
+    assert calls == [n_pairs] * 4
 
 
 def test_stage1_batch_passes_each_unchanged_pair_through_as_concatenation(tmp_path,

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gradcheck import gradcheck, scalarizer
-from mtvlm.autograd import ParameterSet, Tensor
+from gradcheck import gradcheck, scalarizer, tape_nodes
+from mtvlm.autograd import ParameterSet, Tensor, concat
 from mtvlm.change import ChangeFeatureMap
 from mtvlm.errors import ConfigurationError, ContractError, ShapeError
 from mtvlm.vision import (
@@ -67,6 +67,12 @@ def test_visual_input_validation():
         VisualInput("single", np.full((1, 3, 4, 4), -0.1))
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 0, 4), (1, 3, 4, 0)])
+def test_visual_input_rejects_empty_frames(shape):
+    with pytest.raises(ShapeError, match="positive h and w"):
+        VisualInput("single", np.zeros(shape))
+
+
 def test_content_hash_frozen_and_sensitive():
     vi = VisualInput("single", np.zeros((1, 3, 2, 2)))
     assert vi.content_hash() == (
@@ -107,7 +113,33 @@ def test_encoder_deterministic_and_matches_linear_oracle():
     feats = enc1.encode(vi)
     assert feats.grid == (2, 3)
     want = patchify_oracle(vi.frames[0], 2) @ enc1.weight.data.T + enc1.bias.data
-    np.testing.assert_allclose(feats.per_frame[0].data, want, rtol=1e-12)
+    np.testing.assert_allclose(feats.frames.data[0], want, rtol=1e-12)
+
+
+def test_encode_all_frames_matches_each_frame_alone():
+    path = VisualPath(ParameterSet(), np.random.default_rng(18), patch=8, d_v=16, dim=64)
+    frames = np.random.default_rng(19).uniform(size=(4, 3, 32, 32))
+    feats = path.encoder.encode(VisualInput("video", frames))
+    units = path.frame_embeddings(feats).units()
+    assert feats.frames.shape == (4, 16, 16) and len(units) == 4
+    for i, frame in enumerate(frames):
+        alone = path.encoder.encode(VisualInput("single", frame[None]))
+        assert feats.frames.data[i].tobytes() == alone.frames.data[0].tobytes()
+        assert units[i].data.tobytes() == path.frame_embeddings(alone).values.data.tobytes()
+
+
+def test_video_unit_op_count_is_independent_of_frame_count():
+    # the encoder and projector record ops, so every stage is on the tape
+    path = VisualPath(ParameterSet(), np.random.default_rng(20), patch=8, d_v=4, dim=8)
+    r = np.random.default_rng(21)
+    counts = set()
+    for k in (1, 2, 4, 8):
+        feats = path.encoder.encode(VisualInput("video", r.uniform(size=(k, 3, 16, 16))))
+        units = path.frame_embeddings(feats).units()
+        counts.add(tape_nodes(units[0]))
+        if k == 4:      # one chain for every frame, then one narrow per unit
+            assert tape_nodes(concat(units)) - 1 <= 14
+    assert len(counts) == 1
 
 
 def test_encoder_rejects_indivisible_frames():
@@ -127,24 +159,24 @@ def test_encoder_config_validation():
 def test_downsample_matches_loop_oracle():
     r = np.random.default_rng(5)
     tokens = r.normal(size=(16, 3))
-    feats = VisualFeatures(per_frame=[Tensor(tokens)], grid=(4, 4))
+    feats = VisualFeatures(frames=Tensor(tokens[None]), grid=(4, 4))
     out = downsample(feats)
-    assert len(out) == 1 and out[0].shape == (4, 12)
-    np.testing.assert_array_equal(out[0].data, downsample_oracle(tokens, 4, 4))
+    assert out.shape == (4, 12)
+    np.testing.assert_array_equal(out.data, downsample_oracle(tokens, 4, 4))
 
 
 def test_downsample_neighborhood_order():
     # token value encodes its grid position, so the 2x2 gather is visible
     tokens = np.arange(4.0).reshape(4, 1)
-    feats = VisualFeatures(per_frame=[Tensor(tokens)], grid=(2, 2))
-    np.testing.assert_array_equal(downsample(feats)[0].data, [[0.0, 1.0, 2.0, 3.0]])
+    feats = VisualFeatures(frames=Tensor(tokens[None]), grid=(2, 2))
+    np.testing.assert_array_equal(downsample(feats).data, [[0.0, 1.0, 2.0, 3.0]])
 
 
 def test_downsample_rejects_odd_grids():
     with pytest.raises(ConfigurationError):
-        downsample(VisualFeatures(per_frame=[Tensor(np.ones((6, 2)))], grid=(3, 2)))
+        downsample(VisualFeatures(frames=Tensor(np.ones((1, 6, 2))), grid=(3, 2)))
     with pytest.raises(ConfigurationError):
-        downsample(VisualFeatures(per_frame=[Tensor(np.ones((6, 2)))], grid=(2, 3)))
+        downsample(VisualFeatures(frames=Tensor(np.ones((1, 6, 2))), grid=(2, 3)))
 
 
 # -- projector -------------------------------------------------------------------------
@@ -209,8 +241,8 @@ def test_embed_change_orders_tokens_like_downsample():
     proj = Projector(d_v=2, dim=4, params=ps, rng=np.random.default_rng(14))
     tokens = np.random.default_rng(15).normal(size=(8, 2))       # a 2 x 4 grid
     fmap = ChangeFeatureMap(values=Tensor(tokens.T.reshape(2, 2, 4)))
-    want = proj.project(downsample(VisualFeatures(per_frame=[Tensor(tokens)],
-                                                  grid=(2, 4))))
+    want = proj.project([downsample(VisualFeatures(frames=Tensor(tokens[None]),
+                                                   grid=(2, 4)))])
     assert embed_change(fmap, proj).values.data.tobytes() == want.values.data.tobytes()
     with pytest.raises(ConfigurationError):
         embed_change(ChangeFeatureMap(values=Tensor(np.ones((2, 3, 2)))), proj)
@@ -221,13 +253,26 @@ def test_change_embeddings_batch_pairs_of_one_grid_only():
     r = np.random.default_rng(17)
 
     def pair(n, grid):
-        return VisualFeatures(per_frame=[Tensor(r.normal(size=(n, 2))) for _ in range(2)],
-                              grid=grid)
+        return VisualFeatures(frames=Tensor(r.normal(size=(2, n, 2))), grid=grid)
 
     emb = path.change_embeddings([pair(8, (2, 4)), pair(8, (2, 4))])
     assert len(emb.units()) == 2 and emb.per_unit == 2
     with pytest.raises(ShapeError, match="grids"):
         path.change_embeddings([pair(8, (2, 4)), pair(8, (4, 2))])
+
+
+def test_change_embeddings_op_count_is_independent_of_batch_size():
+    # pairs are split into their two time points by a fixed number of ops
+    path = VisualPath(ParameterSet(), np.random.default_rng(22), patch=8, d_v=4, dim=8)
+    r = np.random.default_rng(23)
+    counts = set()
+    for b in (1, 2, 4):
+        feats = [VisualFeatures(frames=Tensor(r.normal(size=(2, 8, 4)), requires_grad=True),
+                                grid=(2, 4)) for _ in range(b)]
+        emb = path.change_embeddings(feats)
+        assert len(emb.units()) == b
+        counts.add(tape_nodes(emb.values))
+    assert len(counts) == 1
 
 
 # -- frame sampling ----------------------------------------------------------------------
@@ -338,3 +383,22 @@ def test_load_visual_pair_and_video_sampling(tmp_path):
     assert full.k == 6
     np.testing.assert_array_equal(vid.frames[0], full.frames[0])
     np.testing.assert_array_equal(vid.frames[-1], full.frames[-1])
+
+
+@pytest.mark.parametrize("kind, sizes", [("pair", [32, 16]), ("video", [8, 8, 4, 8])])
+def test_load_visual_rejects_frames_of_different_sizes(tmp_path, kind, sizes):
+    r = np.random.default_rng(24)
+    for i, n in enumerate(sizes):
+        write_pixels(tmp_path / f"f{i}.f64", r.uniform(size=(1, 3, n, n)))
+    odd = sizes.index(min(sizes))
+    with pytest.raises(ContractError) as err:
+        load_visual(kind, [f"f{i}.f64" for i in range(len(sizes))], base_dir=tmp_path)
+    message = str(err.value)
+    assert f"f{odd}.f64" in message
+    assert str((3, min(sizes), min(sizes))) in message
+    assert str((3, max(sizes), max(sizes))) in message
+
+
+def test_load_visual_rejects_no_references(tmp_path):
+    with pytest.raises(ContractError, match="no frame references"):
+        load_visual("video", [], base_dir=tmp_path)
