@@ -5,6 +5,8 @@ projector MLP, the causal language model) is expressed through the ops in
 this module. Design constraints, chosen for auditability over speed:
 
 * float64 only, row-major storage, no views that alias gradients;
+* ops take ``Tensor`` operands and do not convert arrays or numbers;
+  wrap a constant in ``Tensor`` first (``scale`` alone takes a float);
 * elementwise binary ops require exactly matching shapes (the only
   broadcast anywhere is the bias add inside ``linear`` and ``conv2d``);
 * the tape is built eagerly by closures and walked once per ``backward``;
@@ -51,9 +53,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def detach(self) -> "Tensor":
         """A constant copy of this tensor, off the tape."""
@@ -114,13 +113,11 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        other = _as_tensor(other)
         _same_shape("add", self, other)
         return _op(self.data + other.data, (self, other),
                    lambda g: (_send(self, g), _send(other, g)))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        other = _as_tensor(other)
         _same_shape("sub", self, other)
         return _op(self.data - other.data, (self, other),
                    lambda g: (_send(self, g), _send(other, -g)))
@@ -129,7 +126,6 @@ class Tensor:
         return _op(-self.data, (self,), lambda g: _send(self, -g))
 
     def __mul__(self, other: "Tensor") -> "Tensor":
-        other = _as_tensor(other)
         _same_shape("mul", self, other)
         return _op(self.data * other.data, (self, other),
                    lambda g: (_send(self, g * other.data), _send(other, g * self.data)))
@@ -147,7 +143,6 @@ class Tensor:
 
     def matmul(self, other: "Tensor") -> "Tensor":
         """Product over the last two axes; leading (batch) axes must be equal."""
-        other = _as_tensor(other)
         a, b = self.shape, other.shape
         if min(len(a), len(b)) < 2 or a[:-2] != b[:-2] or a[-1] != b[-2]:
             raise ShapeError(f"matmul needs (..., n, k) @ (..., k, m) with equal "
@@ -238,10 +233,6 @@ class Tensor:
 
 # -- tape plumbing ----------------------------------------------------------
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _same_shape(opname: str, a: Tensor, b: Tensor) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{opname} needs matching shapes, got {a.shape} and {b.shape}")
@@ -299,7 +290,7 @@ def _send(t: Tensor, g: np.ndarray) -> None:
 # -- free functions ----------------------------------------------------------
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     if not tensors:
         raise ContractError("concat of an empty sequence")
     nd = tensors[0].ndim
@@ -319,7 +310,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight.T + bias`` with weight shaped (out, in) and x (n, in)."""
-    x, weight = _as_tensor(x), _as_tensor(weight)
     xs, ws = x.data.shape, weight.data.shape
     if len(xs) != 2 or len(ws) != 2:
         raise ShapeError(f"linear needs 2-d x and weight, got {xs} and {ws}")
@@ -328,7 +318,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = x.data @ weight.data.T
     parents = (x, weight)
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.data.shape != ws[:1]:
             raise ShapeError(f"linear bias {bias.shape} vs weight {ws}")
         out += bias.data
@@ -352,7 +341,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     runs as one im2col matrix, so each direction is one matmul however many
     samples it holds.
     """
-    x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim not in (3, 4):
         raise ShapeError(f"conv2d input must be (C, H, W) or (B, C, H, W), got {x.shape}")
     if weight.ndim != 4:
@@ -385,7 +373,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     out = w2 @ cols
     parents = [x, weight]
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.shape != (o,):
             raise ShapeError(f"conv2d bias {bias.shape} vs weight {weight.shape}")
         out += bias.data[:, None]
@@ -419,7 +406,6 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     result exactly 1.0 (sqrt(s*s) == s in IEEE double), which the
     identity-collapse property downstream relies on.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim not in (1, 2) or b.ndim != a.ndim:
         raise ShapeError(f"cosine_similarity needs two 1-d vectors or two (L, D) "
                          f"matrices, got {a.shape} and {b.shape}")
@@ -449,7 +435,6 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Gather rows ``ids`` from a (V, D) table; backward scatter-adds."""
-    table = _as_tensor(table)
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
@@ -468,7 +453,6 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply an elementwise affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine must be ({d},), got {gain.shape} and {bias.shape}")
@@ -494,7 +478,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
     """Pick entries (rows[i], cols[i]) from a 2-d tensor as a 1-d tensor."""
-    t = _as_tensor(t)
     if t.ndim != 2:
         raise ShapeError(f"take needs a 2-d tensor, got {t.shape}")
     r = np.asarray(rows, dtype=np.int64)
@@ -539,17 +522,11 @@ class ParameterSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
 
     def values(self):
         return self._params.values()
-
-    def with_prefix(self, prefix: str) -> list[Tensor]:
-        return [p for n, p in self._params.items() if n.startswith(prefix)]
 
     def freeze(self, prefixes: Iterable[str]) -> list[str]:
         """Mark matching parameters constant; returns the frozen names."""

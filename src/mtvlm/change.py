@@ -63,9 +63,9 @@ class SpatialEnhanceParams:
     the concatenation residual.
     """
 
-    def __init__(self, params: ParameterSet, d_v: int, prefix: str = "change.enhance."):
+    def __init__(self, params: ParameterSet, d_v: int):
         self.d_v = d_v
-        self.w_embed = params.add(prefix + "w_embed", np.zeros(2 * d_v))
+        self.w_embed = params.add("change.enhance.w_embed", np.zeros(2 * d_v))
 
 
 class FusionParams:
@@ -76,9 +76,9 @@ class FusionParams:
     uniform noise.
     """
 
-    def __init__(self, params: ParameterSet, d_v: int, rng: np.random.Generator,
-                 prefix: str = "change.fusion."):
+    def __init__(self, params: ParameterSet, d_v: int, rng: np.random.Generator):
         self.d_v = d_v
+        prefix = "change.fusion."
 
         def u(shape):
             return rng.uniform(-0.02, 0.02, size=shape)
@@ -101,15 +101,6 @@ def tokens_to_grid(t: Tensor, grid: tuple[int, int]) -> Tensor:
         raise ShapeError(f"cannot arrange {t.shape} onto grid {grid}")
     *lead, _, d = t.shape
     return t.transpose(*range(len(lead)), t.ndim - 1, t.ndim - 2).reshape(*lead, d, h, w)
-
-
-def grid_to_tokens(t: Tensor) -> Tensor:
-    """Inverse of :func:`tokens_to_grid`: (D, H, W) back to (L, D), and
-    (B, D, H, W) back to (B, L, D)."""
-    if t.ndim not in (3, 4):
-        raise ShapeError(f"expected (D, H, W) or (B, D, H, W), got {t.shape}")
-    *lead, d, h, w = t.shape
-    return t.reshape(*lead, d, h * w).transpose(*range(len(lead)), t.ndim - 2, t.ndim - 3)
 
 
 def spatial_enhance(d: DualTimeFeatures, p: SpatialEnhanceParams) -> Tensor:

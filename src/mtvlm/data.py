@@ -100,7 +100,7 @@ class SampleRecord:
 _RECORD_KEYS = {f.name for f in fields(SampleRecord)}
 
 
-def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[SampleRecord]:
+def load_manifest(path: str | Path) -> list[SampleRecord]:
     """Load and validate a JSONL manifest; all line errors are reported."""
     path = Path(path)
     records: list[SampleRecord] = []
@@ -124,10 +124,6 @@ def load_manifest(path: str | Path, dataset_tag: str | None = None) -> list[Samp
         try:
             rec = SampleRecord(**raw)
             rec.validate()
-            if dataset_tag is not None and rec.dataset_tag != dataset_tag:
-                raise ManifestError(
-                    f"record {rec.id}: dataset_tag {rec.dataset_tag!r}, "
-                    f"expected {dataset_tag!r}")
         except (TypeError, ManifestError) as e:
             errors.append(f"line {lineno}: {e}")
             continue

@@ -71,13 +71,14 @@ class Vocab:
             ids.append(self.index[tok])
         return ids
 
-    def decode(self, ids: list[int], skip_special: bool = True) -> str:
-        skip = {self.pad_id, self.bos_id, self.eos_id} if skip_special else set()
+    def decode(self, ids: list[int]) -> str:
+        """Join the tokens of ``ids`` by spaces, leaving out pad, bos and eos."""
+        skip = {self.pad_id, self.bos_id, self.eos_id}
         return " ".join(self.tokens[i] for i in ids if i not in skip)
 
-    def tokenize_prompt(self, text: str, add_bos: bool = True) -> TokenizedPrompt:
-        """Tokenize and locate visual marker slots."""
-        ids: list[int] = [self.bos_id] if add_bos else []
+    def tokenize_prompt(self, text: str) -> TokenizedPrompt:
+        """Tokenize after a leading bos and locate visual marker slots."""
+        ids: list[int] = [self.bos_id]
         slots: list[tuple[int, Marker]] = []
         for tok in self.split(text):
             if tok not in self.index:
@@ -262,10 +263,14 @@ class TinyCausalLM:
 
         Runs without a tape. The prefix goes through ``forward`` once, and
         each later step feeds only the newest token's row against a KV cache
-        that lives for this call.
+        that lives for this call. Decoding stops when the sequence fills
+        ``max_seq`` rows; a prefix longer than that is a SequenceLengthError.
         """
         if max_new < 1:
             raise ContractError(f"max_new must be >= 1, got {max_new}")
+        if prefix.shape[0] > self.cfg.max_seq:
+            raise SequenceLengthError(
+                f"prefix of {prefix.shape[0]} rows exceeds max_seq={self.cfg.max_seq}")
         rows, cache = prefix, []
         out: list[int] = []
         with no_grad():

@@ -251,9 +251,6 @@ class _CaptionStub:
             examples.append((PackedSequence(rows, mask), targets, mask))
         return examples
 
-    def training_example(self, record: SampleRecord):
-        return self.training_examples([record])[0]
-
 
 def pretrain_change_module(records: list[SampleRecord], cfg: TrainConfig,
                            base_dir: str | Path, *, patch: int = 8,

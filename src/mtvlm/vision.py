@@ -73,16 +73,6 @@ class VisualInput:
 
 
 @dataclass
-class EncoderConfig:
-    d_p: int   # patch side
-    d_v: int   # feature depth
-
-    def __post_init__(self):
-        if self.d_p < 1 or self.d_v < 1:
-            raise ConfigurationError(f"encoder dims must be positive, got {self}")
-
-
-@dataclass
 class VisualFeatures:
     frames: Tensor            # (k, L_V, D_V): frame after frame
     grid: tuple[int, int]
@@ -112,23 +102,25 @@ def patchify(frames: np.ndarray, d_p: int) -> np.ndarray:
 class PatchLinearEncoder:
     """Patchify + one frozen linear projection. Deterministic for a seed."""
 
-    def __init__(self, cfg: EncoderConfig, params: ParameterSet,
-                 rng: np.random.Generator, prefix: str = "encoder."):
-        self.cfg = cfg
-        width = 3 * cfg.d_p * cfg.d_p
-        self.weight = params.add(prefix + "proj.weight",
-                                 rng.normal(0.0, 1.0 / np.sqrt(width), (cfg.d_v, width)))
-        self.bias = params.add(prefix + "proj.bias", np.zeros(cfg.d_v))
+    def __init__(self, d_p: int, d_v: int, params: ParameterSet,
+                 rng: np.random.Generator):
+        if d_p < 1 or d_v < 1:
+            raise ConfigurationError(f"encoder dims must be positive, got d_p={d_p}, d_v={d_v}")
+        self.d_p, self.d_v = d_p, d_v     # patch side, feature depth
+        width = 3 * d_p * d_p
+        self.weight = params.add("encoder.proj.weight",
+                                 rng.normal(0.0, 1.0 / np.sqrt(width), (d_v, width)))
+        self.bias = params.add("encoder.proj.bias", np.zeros(d_v))
 
     def encode(self, vi: VisualInput) -> VisualFeatures:
-        d_p = self.cfg.d_p
+        d_p = self.d_p
         _, _, h, w = vi.frames.shape
         if h % d_p or w % d_p:
             raise ConfigurationError(
                 f"frame size {h}x{w} is not divisible by patch size {d_p}")
         gh, gw = h // d_p, w // d_p
         feats = linear(Tensor(patchify(vi.frames, d_p)), self.weight, self.bias)
-        return VisualFeatures(frames=feats.reshape(vi.k, gh * gw, self.cfg.d_v), grid=(gh, gw))
+        return VisualFeatures(frames=feats.reshape(vi.k, gh * gw, self.d_v), grid=(gh, gw))
 
 
 def _space_to_depth(maps: Tensor) -> Tensor:
@@ -156,16 +148,16 @@ class Projector:
     """Two-layer token-wise MLP from depth 4*D_V to the LM width D_P."""
 
     def __init__(self, d_v: int, dim: int, params: ParameterSet,
-                 rng: np.random.Generator, prefix: str = "projector."):
+                 rng: np.random.Generator):
         self.d_v = d_v
         self.dim = dim
         d_in = 4 * d_v
-        self.fc1_w = params.add(prefix + "fc1.weight",
+        self.fc1_w = params.add("projector.fc1.weight",
                                 rng.normal(0.0, 1.0 / np.sqrt(d_in), (dim, d_in)))
-        self.fc1_b = params.add(prefix + "fc1.bias", np.zeros(dim))
-        self.fc2_w = params.add(prefix + "fc2.weight",
+        self.fc1_b = params.add("projector.fc1.bias", np.zeros(dim))
+        self.fc2_w = params.add("projector.fc2.weight",
                                 rng.normal(0.0, 1.0 / np.sqrt(dim), (dim, dim)))
-        self.fc2_b = params.add(prefix + "fc2.bias", np.zeros(dim))
+        self.fc2_b = params.add("projector.fc2.bias", np.zeros(dim))
 
     def project(self, f_d: list[Tensor]) -> VisualEmbeddings:
         """(L_d, 4*D_V) units, all through one fc1/relu/fc2 pass."""
@@ -206,8 +198,7 @@ class VisualPath:
 
     def __init__(self, params: ParameterSet, rng: np.random.Generator, *,
                  patch: int, d_v: int, dim: int):
-        self.encoder = PatchLinearEncoder(EncoderConfig(d_p=patch, d_v=d_v),
-                                          params, rng)
+        self.encoder = PatchLinearEncoder(patch, d_v, params, rng)
         self.enhance = SpatialEnhanceParams(params, d_v)
         self.fusion = FusionParams(params, d_v, rng)
         self.projector = Projector(d_v, dim, params, rng)

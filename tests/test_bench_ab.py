@@ -1,6 +1,7 @@
 """The A/B driver's summary, fed canned perfbench result lines.
 
-No test here runs the benchmark: ``summarise`` and its helpers are pure.
+No test here runs the benchmark: ``summarise`` and its helpers are pure,
+and ``main`` runs with extraction, git and perfbench replaced by fakes.
 """
 
 import importlib.util
@@ -118,3 +119,49 @@ def test_traced_counts_that_differ_are_named():
     assert out["joint"]["traced"]["count_mismatches"] == [
         "autograd.tape_nodes", "autograd.op.linear.calls"]
     assert out["joint"]["traced"]["change"]["autograd.tape_nodes"] == 103
+
+
+def test_both_sides_run_from_sibling_extracts_of_base_and_head(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    extracted, ran = {}, set()
+
+    def extract(repo, ref, dest):
+        extracted[ref] = dest
+        (dest / "src").mkdir(parents=True)
+        (dest / "src" / "m.py").write_text("x = 1\n" * (3 if ref == "HEAD" else 2))
+        return "commit-of-" + ref
+
+    def run_perfbench(tree, workload, seed, seconds, trace):
+        ran.add(tree)
+        return json.loads(line(steps_per_s=1.0))
+
+    git_calls = []
+    monkeypatch.setattr(bench_ab, "extract", extract)
+    monkeypatch.setattr(bench_ab, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(bench_ab, "_git", lambda repo, *args: git_calls.append(args) or "")
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--base", "HEAD~1", "--workloads", "joint", "--seeds", "1-2",
+                          "--trace-seed", "7", "--out", str(out)]) == 0
+    assert set(extracted) == {"HEAD~1", "HEAD"}
+    base, change = extracted["HEAD~1"], extracted["HEAD"]
+    assert base != change and base.parent == change.parent
+    assert ran == {base, change}
+    assert ROOT.resolve() not in {base.resolve(), change.resolve(), base.parent.resolve()}
+    assert not base.parent.exists()         # the scratch directory is removed
+    report = json.loads(out.read_text())
+    assert report["base"] == {"ref": "HEAD~1", "commit": "commit-of-HEAD~1"}
+    assert report["change"] == {"commit": "commit-of-HEAD", "dirty": False}
+    assert report["src_lines"] == {"base": 2, "change": 3, "net": 1}
+    assert git_calls == [("status", "--porcelain", "--untracked-files=no")]
+
+
+def test_uncommitted_edits_are_flagged_and_warned_about(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(bench_ab, "extract", lambda repo, ref, dest: ref)
+    monkeypatch.setattr(bench_ab, "run_perfbench", lambda *a: json.loads(line()))
+    monkeypatch.setattr(bench_ab, "_git", lambda repo, *args: " M src/mtvlm/lm.py\n")
+    out = tmp_path / "bench.json"
+    assert bench_ab.main(["--base", "HEAD~1", "--workloads", "joint", "--seeds", "1",
+                          "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["change"]["dirty"] is True
+    assert "uncommitted edits are not measured" in capsys.readouterr().err

@@ -84,7 +84,7 @@ def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, ps)
     blob = path.read_bytes()
-    names = ps.names()
+    names = list(ps.state())
     cut_path = tmp_path / "cut.ckpt"
     prefixes = 0
     for cut in range(len(blob)):

@@ -11,7 +11,7 @@ from mtvlm import cli, fileio
 from mtvlm.checkpoint import read_checkpoint
 from mtvlm.cli import (RunConfig, load_run_config, main, pipeline_config,
                        resolved_seed, train_config)
-from mtvlm.data import load_manifest, mix
+from mtvlm.data import load_manifest, mix, save_manifest
 from mtvlm.errors import ConfigurationError
 from mtvlm.metrics import write_predictions
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig
@@ -417,6 +417,24 @@ def test_infer_on_frames_of_different_sizes_exits_2_naming_the_file(tmp_path, ca
     err = capsys.readouterr().err
     assert code == 2
     assert odd.name in err and "Traceback" not in err
+
+
+def test_infer_on_a_record_longer_than_max_seq_exits_2(tmp_path, capsys):
+    data = synth(tmp_path, kinds="single,video", n=2)
+    singles = [r for r in load_manifest(data / "manifest.jsonl") if r.kind == "single"]
+    save_manifest(data / "single.jsonl", singles)
+    run = tmp_path / "run"
+    # single records fit in 40 rows; a 4-frame video prompt does not
+    assert main(["train", "--manifest", str(data / "single.jsonl"), "--out", str(run),
+                 *overrides("max_seq=40", "total_steps=2", "batch_size=2")]) == 0
+    pred = tmp_path / "p.jsonl"
+    code = main(["infer", "--task", "video",
+                 "--checkpoint", str(run / "model.ckpt"),
+                 "--manifest", str(data / "manifest.jsonl"), "--out", str(pred)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exceeds max_seq=40" in err and "Traceback" not in err
+    assert not pred.exists()
 
 
 def test_infer_rejects_kindless_manifest(tmp_path, capsys):

@@ -105,14 +105,6 @@ def test_manifest_line_that_is_not_an_object_is_a_line_error(tmp_path, line):
         load_manifest(path)
 
 
-def test_manifest_tag_filter(tmp_path):
-    path = tmp_path / "m.jsonl"
-    save_manifest(path, [rec()])
-    assert len(load_manifest(path, dataset_tag="geochat")) == 1
-    with pytest.raises(ManifestError, match="expected 'era'"):
-        load_manifest(path, dataset_tag="era")
-
-
 # -- mixing --------------------------------------------------------------------
 
 def test_mix_is_a_seeded_permutation():

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mtvlm import training
 from mtvlm.checkpoint import read_checkpoint, write_checkpoint
-from mtvlm.errors import ContractError
+from mtvlm.errors import ContractError, SequenceLengthError
 from mtvlm.packing import MARKER_CHANGE, MARKER_IMAGE
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig, build_vocab
 from mtvlm.prompting import ClueCache
@@ -156,6 +157,57 @@ def test_predict_is_deterministic(model, synth_dir):
     a = model.predict(r)
     assert isinstance(a, str)
     assert model.predict(r) == a
+
+
+def test_predict_rejects_a_record_longer_than_max_seq(synth_dir):
+    out, records = synth_dir
+    model = MultiTemporalModel.build(dataclasses.replace(CFG, max_seq=40), records, out)
+    single, video = by_kind(records)["single"][0], by_kind(records)["video"][0]
+    assert isinstance(model.predict(single), str)
+    assert model.packed_example(video, [])[0].n > 40
+    # predicting fails as training on the same record does
+    with pytest.raises(SequenceLengthError, match="max_seq=40"):
+        model.predict(video)
+    with pytest.raises(SequenceLengthError, match="max_seq=40"):
+        training._batch_loss(model, [video])
+
+
+# Checkpoints store parameters by name, in insertion order, so these names
+# are a file format: a renamed or reordered parameter breaks every
+# checkpoint written before.
+DEFAULT_VISUAL_PARAMS = [
+    ("encoder.proj.weight", (16, 192)), ("encoder.proj.bias", (16,)),
+    ("change.enhance.w_embed", (32,)),
+    ("change.fusion.conv_half.weight", (16, 32, 1, 1)),
+    ("change.fusion.conv_half.bias", (16,)),
+    ("change.fusion.conv1.weight", (16, 16, 1, 1)), ("change.fusion.conv1.bias", (16,)),
+    ("change.fusion.conv2.weight", (16, 16, 3, 3)), ("change.fusion.conv2.bias", (16,)),
+    ("change.fusion.conv3.weight", (16, 16, 1, 1)), ("change.fusion.conv3.bias", (16,)),
+    ("projector.fc1.weight", (64, 64)), ("projector.fc1.bias", (64,)),
+    ("projector.fc2.weight", (64, 64)), ("projector.fc2.bias", (64,)),
+]
+DEFAULT_LM_BLOCK_PARAMS = [
+    ("ln1.gain", (64,)), ("ln1.bias", (64,)),
+    *((f"attn.{w}.{p}", shape) for w in ("wq", "wk", "wv", "wo")
+      for p, shape in (("weight", (64, 64)), ("bias", (64,)))),
+    ("ln2.gain", (64,)), ("ln2.bias", (64,)),
+    ("mlp.fc1.weight", (256, 64)), ("mlp.fc1.bias", (256,)),
+    ("mlp.fc2.weight", (64, 256)), ("mlp.fc2.bias", (64,)),
+]
+
+
+def test_default_model_parameter_names_are_the_checkpoint_layout(synth_dir):
+    out, records = synth_dir
+    model = MultiTemporalModel.build(PipelineConfig(), records, out)
+    v = len(model.vocab)
+    lm = [("lm.embed.weight", (v, 64)), ("lm.pos.weight", (512, 64))]
+    lm += [(f"lm.block{i}.{name}", shape) for i in range(2)
+           for name, shape in DEFAULT_LM_BLOCK_PARAMS]
+    lm += [("lm.ln_f.gain", (64,)), ("lm.ln_f.bias", (64,)),
+           ("lm.head.weight", (v, 64)), ("lm.head.bias", (v,))]
+    got = [(name, p.data.shape) for name, p in model.params.items()]
+    assert got[:15] == DEFAULT_VISUAL_PARAMS
+    assert got[15:] == lm and len(lm) == 38
 
 
 def test_checkpoint_roundtrip_preserves_predictions(synth_dir, tmp_path):

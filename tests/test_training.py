@@ -419,7 +419,7 @@ def per_record_loss(model, batch):
     """The mean of per-record losses, one LM forward each."""
     loss = None
     for record in batch:
-        packed, targets, mask = model.training_example(record)
+        packed, targets, mask = model.training_examples([record])[0]
         one = cross_entropy_next_token(model.lm.forward(packed.embeddings), targets, mask)
         loss = one if loss is None else loss + one
     return loss.scale(1.0 / len(batch))
@@ -469,7 +469,7 @@ def test_stage1_batch_loss_and_gradients_match_per_record_step(tmp_path):
     out = tmp_path / "pairs"
     pairs = synth_generate("pair", 4, 22, out)
     stub = training._CaptionStub(pairs, out, 0, **STUB_DIMS)
-    lengths = {stub.training_example(r)[0].n for r in pairs}
+    lengths = {stub.training_examples([r])[0][0].n for r in pairs}
     assert len(lengths) > 1                             # pad slots are exercised
     check_batch_loss_matches_per_record_step(stub, pairs)
 
@@ -581,7 +581,7 @@ def test_joint_runs_one_lm_forward_per_step(synth_dir, monkeypatch, stage):
     monkeypatch.setattr(TinyCausalLM, "forward", counting)
     train(5)
     assert len(rows) == 5
-    per_record = {r.id: model.training_example(r)[0].n for r in records}
+    per_record = {r.id: model.training_examples([r])[0][0].n for r in records}
     size = min(4, len(records))
     assert rows == [sum(per_record[records[(s * size + j) % len(records)].id]
                         for j in range(size)) for s in range(5)]

@@ -10,7 +10,7 @@ from mtvlm.autograd import ParameterSet, Tensor, concat
 from mtvlm.change import ChangeFeatureMap
 from mtvlm.errors import ConfigurationError, ContractError, ShapeError
 from mtvlm.vision import (
-    EncoderConfig, PatchLinearEncoder, Projector, VisualFeatures, VisualInput,
+    PatchLinearEncoder, Projector, VisualFeatures, VisualInput,
     VisualPath,
     downsample, embed_change, load_visual, patchify, read_pixels,
     sample_frames, write_pixels,
@@ -104,9 +104,8 @@ def test_patchify_channel_major_layout():
 
 
 def test_encoder_deterministic_and_matches_linear_oracle():
-    cfg = EncoderConfig(d_p=2, d_v=5)
-    enc1 = PatchLinearEncoder(cfg, ParameterSet(), np.random.default_rng(3))
-    enc2 = PatchLinearEncoder(cfg, ParameterSet(), np.random.default_rng(3))
+    enc1 = PatchLinearEncoder(2, 5, ParameterSet(), np.random.default_rng(3))
+    enc2 = PatchLinearEncoder(2, 5, ParameterSet(), np.random.default_rng(3))
     np.testing.assert_array_equal(enc1.weight.data, enc2.weight.data)
 
     vi = VisualInput("single", np.random.default_rng(4).uniform(size=(1, 3, 4, 6)))
@@ -143,15 +142,15 @@ def test_video_unit_op_count_is_independent_of_frame_count():
 
 
 def test_encoder_rejects_indivisible_frames():
-    enc = PatchLinearEncoder(EncoderConfig(d_p=3, d_v=2), ParameterSet(),
-                             np.random.default_rng(0))
+    enc = PatchLinearEncoder(3, 2, ParameterSet(), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         enc.encode(VisualInput("single", np.zeros((1, 3, 4, 6))))
 
 
 def test_encoder_config_validation():
-    with pytest.raises(ConfigurationError):
-        EncoderConfig(d_p=0, d_v=4)
+    for d_p, d_v in ((0, 4), (2, 0)):
+        with pytest.raises(ConfigurationError):
+            PatchLinearEncoder(d_p, d_v, ParameterSet(), np.random.default_rng(0))
 
 
 # -- downsampling --------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""A/B benchmark driver: a committed base ref against this checkout.
+"""A/B benchmark driver: a committed base ref against the checkout's HEAD.
 
     python3 tools/bench_ab.py --base HEAD~1 --workloads decode --seeds 82-91 \
         --seconds 10 --trace-seed 7 --out BENCH_21.json
 
-Run it from the repository root. The base ref is extracted with ``git
-archive`` into a scratch directory, which is deleted afterwards; no git
-metadata changes. For each workload and seed, ``perfbench/run.py`` runs
-once on each side, and the side that runs first alternates from pair to
-pair. The last stdout line of each run is its result. ``summarise`` turns
-the pairs into medians, quartiles, per-pair ratios, win counts and a
-verdict against each bound in BENCHMARK.json; README's "A/B reports"
-section describes the file it writes.
+Run it from the repository root, after committing the change. The base
+ref and HEAD are each extracted with ``git archive`` into sibling
+directories of one scratch directory, which is deleted afterwards, so both
+sides run from the same kind of location and no git metadata changes.
+Uncommitted edits are not measured. For each workload and seed,
+``perfbench/run.py`` runs once on each side, and the side that runs first
+alternates from pair to pair. The last stdout line of each run is its
+result. ``summarise`` turns the pairs into medians, quartiles, per-pair
+ratios, win counts and a verdict against each bound in BENCHMARK.json;
+README's "A/B reports" section describes the file it writes.
 """
 
 from __future__ import annotations
@@ -240,11 +242,16 @@ def main(argv=None) -> int:
         parser.error(str(e))
     seconds = args.seconds or spec["run_seconds"]
 
+    dirty = bool(_git(repo, "status", "--porcelain", "--untracked-files=no"))
+    if dirty:
+        print("warning: uncommitted edits are not measured; the change side "
+              "runs HEAD", file=sys.stderr)
     host = {"before": host_record()}
     scratch = Path(tempfile.mkdtemp(prefix="bench_ab_"))
+    trees = {side: scratch / side for side in SIDES}
     try:
-        base_commit = extract(repo, args.base, scratch)
-        trees = {"base": scratch, "change": repo}
+        commits = {side: extract(repo, ref, trees[side])
+                   for side, ref in zip(SIDES, (args.base, "HEAD"))}
         pairs, traced = [], []
         for wl in workloads:
             for i, seed in enumerate(seeds):
@@ -258,15 +265,14 @@ def main(argv=None) -> int:
                 traced.append({"workload": wl, "seed": args.trace_seed,
                                **{s: run_perfbench(trees[s], wl, args.trace_seed, seconds, 1)
                                   for s in SIDES}})
-        lines = {"base": src_lines(scratch), "change": src_lines(repo)}
+        lines = {side: src_lines(trees[side]) for side in SIDES}
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     host["after"] = host_record()
 
     report = {
-        "base": {"ref": args.base, "commit": base_commit},
-        "change": {"commit": _git(repo, "rev-parse", "HEAD").strip(),
-                   "dirty": bool(_git(repo, "status", "--porcelain", "--untracked-files=no"))},
+        "base": {"ref": args.base, "commit": commits["base"]},
+        "change": {"commit": commits["change"], "dirty": dirty},
         "seconds": seconds,
         "host": host,
         "src_lines": {**lines, "net": lines["change"] - lines["base"]},
