@@ -1,4 +1,4 @@
-"""A/B benchmark driver: a committed base ref against the checkout's HEAD.
+"""A/B benchmark runner: a committed base ref against the checkout's HEAD.
 
     python3 tools/bench_ab.py --base HEAD~1 --workloads decode --seeds 82-91 \
         --seconds 10 --trace-seed 7 --out BENCH_21.json
