@@ -155,8 +155,11 @@ class Tensor:
         return self.matmul(other)
 
     def relu(self) -> "Tensor":
+        """``max(x, 0)`` elementwise: -0.0 and negative subnormals give +0.0,
+        and a NaN stays NaN, so a NaN upstream is not hidden. The gradient
+        passes where ``x > 0`` (not at 0, nor at NaN)."""
         mask = self.data > 0.0
-        return _op(np.where(mask, self.data, 0.0), (self,),
+        return _op(np.maximum(self.data, 0.0), (self,),
                    lambda g: _send(self, g * mask))
 
     def sum(self) -> "Tensor":
@@ -434,7 +437,11 @@ def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
 
 
 def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows ``ids`` from a (V, D) table; backward scatter-adds."""
+    """Gather rows ``ids`` from a (V, D) table.
+
+    Backward scatter-adds each gradient row into its id's row with one
+    ``np.bincount`` over flattened (id, column) bins. bincount adds in input
+    order, as ``np.add.at`` does, so repeated ids sum in the order given."""
     if table.ndim != 2:
         raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
@@ -444,9 +451,9 @@ def embedding(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"embedding id out of range for table of {table.shape[0]} rows")
 
     def bw(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        _send(table, dt)
+        v, d = table.data.shape
+        bins = (idx[:, None] * d + np.arange(d)).ravel()
+        _send(table, np.bincount(bins, weights=g.ravel(), minlength=v * d))
 
     return _op(table.data[idx], (table,), bw)
 
@@ -477,7 +484,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """Pick entries (rows[i], cols[i]) from a 2-d tensor as a 1-d tensor."""
+    """Pick entries (rows[i], cols[i]) from a 2-d tensor as a 1-d tensor.
+
+    Backward scatter-adds like ``embedding``'s: one ``np.bincount`` over
+    flattened (row, col) bins, in input order."""
     if t.ndim != 2:
         raise ShapeError(f"take needs a 2-d tensor, got {t.shape}")
     r = np.asarray(rows, dtype=np.int64)
@@ -490,9 +500,8 @@ def take(t: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
         raise ContractError(f"take index out of range for shape {t.shape}")
 
     def bw(g):
-        dt = np.zeros_like(t.data)
-        np.add.at(dt, (r, c), g)
-        _send(t, dt)
+        n_rows, n_cols = t.data.shape
+        _send(t, np.bincount(r * n_cols + c, weights=g, minlength=n_rows * n_cols))
 
     return _op(t.data[r, c], (t,), bw)
 

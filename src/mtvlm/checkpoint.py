@@ -8,7 +8,8 @@ record per parameter in insertion order:
     little-endian float64 payload (C order).
 
 The format is intentionally dumb: no compression, no alignment games, so a
-checkpoint can be audited with ``xxd``.
+checkpoint can be audited with ``xxd``. Reading rejects a payload holding
+NaN or inf, which no finished training run writes.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         arr = np.frombuffer(take(8 * count), dtype="<f8").copy()
         if name in out:
             raise ContractError(f"{path}: duplicate parameter {name!r}")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: parameter {name!r} holds NaN or inf")
         out[name] = arr.reshape(shape)
     return out
 

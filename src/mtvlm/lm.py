@@ -198,8 +198,13 @@ class TinyCausalLM:
         return linear(out.transpose(0, 2, 1, 3).reshape(rows, d), b["wo"], b["bo"])
 
     def forward(self, embeddings: Tensor, cache: list | None = None,
-                lengths: Sequence[int] | None = None) -> Tensor:
+                lengths: Sequence[int] | None = None,
+                rows: Sequence[int] | None = None) -> Tensor:
         """Map (N, D_P) input rows to (N, vocab) logits, causally.
+
+        With ``rows`` (indices into the N input rows) only those rows' logits
+        come out, in that order: the one gather after the final norm keeps
+        just them, so the head and everything after it skip the other rows.
 
         With ``lengths`` the rows are segments laid end to end: independent
         sequences of those lengths, each attending only to its own earlier
@@ -228,6 +233,10 @@ class TinyCausalLM:
                 raise ContractError(
                     f"segment lengths {lengths.tolist()} must be >= 1 and sum to {n} rows")
             s, t = lengths.size, int(lengths.max())
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or rows.size and (rows.min() < 0 or rows.max() >= n):
+                raise ContractError(f"logit rows must be 1-d indices into {n} rows")
         past = cache[0][0].shape[0] if cache else 0
         if past + t > self.cfg.max_seq:
             raise SequenceLengthError(
@@ -241,8 +250,8 @@ class TinyCausalLM:
             slot = np.arange(t)
             real = slot < lengths[:, None]
             starts = np.cumsum(lengths) - lengths
-            rows = np.where(real, starts[:, None] + slot, starts[:, None])
-            x = embedding(embeddings, rows.ravel()) + embedding(pos, np.tile(slot, s))
+            src = np.where(real, starts[:, None] + slot, starts[:, None])
+            x = embedding(embeddings, src.ravel()) + embedding(pos, np.tile(slot, s))
         # expanded per call, not cached: decoding sees a new length at every step
         mask = Tensor(np.broadcast_to(self._causal_mask(past, t),
                                       (s, self.cfg.heads, t, past + t)))
@@ -255,7 +264,10 @@ class TinyCausalLM:
             x = h + m
         x = layer_norm(x, self.lnf_g, self.lnf_b)
         if s > 1:
-            x = embedding(x, np.flatnonzero(real))
+            keep = np.flatnonzero(real)
+            x = embedding(x, keep if rows is None else keep[rows])
+        elif rows is not None:
+            x = embedding(x, rows)
         return linear(x, self.head_w, self.head_b)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:
@@ -263,26 +275,28 @@ class TinyCausalLM:
 
         Runs without a tape. The prefix goes through ``forward`` once, and
         each later step feeds only the newest token's row against a KV cache
-        that lives for this call. Decoding stops when the sequence fills
-        ``max_seq`` rows; a prefix longer than that is a SequenceLengthError.
+        that lives for this call. Only the last row's logits are computed:
+        the prefix call asks ``forward`` for that row alone. Decoding stops
+        when the sequence fills ``max_seq`` rows; a prefix longer than that
+        is a SequenceLengthError.
         """
         if max_new < 1:
             raise ContractError(f"max_new must be >= 1, got {max_new}")
         if prefix.shape[0] > self.cfg.max_seq:
             raise SequenceLengthError(
                 f"prefix of {prefix.shape[0]} rows exceeds max_seq={self.cfg.max_seq}")
-        rows, cache = prefix, []
+        x, cache = prefix, []
         out: list[int] = []
         with no_grad():
             for _ in range(max_new):
                 if prefix.shape[0] + len(out) >= self.cfg.max_seq:
                     break
-                logits = self.forward(rows, cache)
-                nxt = int(np.argmax(logits.data[-1]))
+                last = [x.shape[0] - 1] if x.shape[0] > 1 else None
+                nxt = int(np.argmax(self.forward(x, cache, rows=last).data[-1]))
                 if nxt == eos_id:
                     break
                 out.append(nxt)
-                rows = Tensor(self.embed.data[nxt:nxt + 1])
+                x = Tensor(self.embed.data[nxt:nxt + 1])
         return out
 
 

@@ -103,29 +103,35 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
                              mask: np.ndarray, lengths: list[int] | None = None) -> Tensor:
     """Mean -log p(target[i]) under logits[i-1], over mask-true positions.
 
-    The rows are segments of ``lengths`` laid end to end (one segment of
-    all rows by default), as ``TinyCausalLM.forward`` takes them: the loss
+    The n positions are segments of ``lengths`` laid end to end (one segment
+    of all n by default), as ``TinyCausalLM.forward`` takes them: the loss
     is the mean over segments of each segment's mean, so no segment's first
-    row may be masked and every segment needs a masked row.
+    row may be masked and every segment needs a masked row. ``logits`` holds
+    either a row per position or only the rows the loss reads, the row
+    before each mask-true position in order, as ``forward(...,
+    rows=np.flatnonzero(mask) - 1)`` returns them. Position 0 is never
+    masked, so the two row counts always differ.
     """
     mask = np.asarray(mask, dtype=bool)
-    n = logits.shape[0]
+    n = len(targets)
     lengths = [n] if lengths is None else lengths
-    if len(targets) != n or mask.shape != (n,) or sum(lengths) != n:
+    positions = np.flatnonzero(mask)
+    if mask.shape != (n,) or sum(lengths) != n \
+            or logits.shape[0] not in (n, positions.size):
         raise ContractError(
-            f"logits rows {n}, targets {len(targets)}, mask {mask.shape}, "
+            f"logits rows {logits.shape[0]}, targets {n}, mask {mask.shape}, "
             f"lengths {lengths} disagree")
     ends = np.cumsum(lengths)
     if mask[ends[:-1]].any() or mask[0]:
         raise ContractError("position 0 of a segment has no preceding logits to predict it")
-    positions = np.flatnonzero(mask)
     segment = np.searchsorted(ends, positions, side="right")
     counts = np.bincount(segment, minlength=len(ends))
     if not counts.all():
         raise ContractError(f"loss mask selects no positions in segments "
                             f"{np.flatnonzero(counts == 0).tolist()}")
+    rows = positions - 1 if logits.shape[0] == n else np.arange(positions.size)
     logp = logits.log_softmax(axis=-1)
-    picked = take(logp, positions - 1, np.asarray(targets)[positions])
+    picked = take(logp, rows, np.asarray(targets)[positions])
     return (picked * Tensor(-1.0 / (len(ends) * counts[segment]))).sum()
 
 
@@ -309,11 +315,12 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
 
 def _batch_loss(model, batch: list[SampleRecord]) -> Tensor:
     """One LM forward over the batch's packed rows laid end to end, and the
-    mean of the per-record answer losses."""
+    mean of the per-record answer losses. The forward returns logits only
+    for the rows the loss reads."""
     examples = model.training_examples(batch)
     lengths = [packed.embeddings.shape[0] for packed, _, _ in examples]
+    mask = np.concatenate([m for _, _, m in examples])
     logits = model.lm.forward(concat([packed.embeddings for packed, _, _ in examples]),
-                              lengths=lengths)
+                              lengths=lengths, rows=np.flatnonzero(mask) - 1)
     return cross_entropy_next_token(logits, [t for _, targets, _ in examples for t in targets],
-                                    np.concatenate([mask for _, _, mask in examples]),
-                                    lengths)
+                                    mask, lengths)

@@ -370,10 +370,61 @@ def ref_transpose(x, g, axes):
             [np.ascontiguousarray(g.transpose(inverse))])
 
 
-def rewritten_case(name, r, rows, width):
+def ref_relu(x, g):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), [g * mask]
+
+
+def ref_embedding(table, ids, g):
+    dt = np.zeros_like(table)
+    np.add.at(dt, ids, g)
+    return table[ids], [dt]
+
+
+def ref_take(t, rows, cols, g):
+    dt = np.zeros_like(t)
+    np.add.at(dt, (rows, cols), g)
+    return t[rows, cols], [dt]
+
+
+# signed zeros, subnormals, the smallest normals and infinities
+RELU_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                       2.2250738585072014e-308, -2.2250738585072014e-308, np.inf, -np.inf])
+
+
+def gather_indices(r, name, case, rows, width):
+    """Case 0 repeats indices, case 1 has distinct ones, and case 2 gives
+    ``embedding`` no ids and ``take`` one entry picked many times."""
+    if name == "embedding":
+        if case == 0:
+            return (r.integers(0, rows, size=2 * rows + 3),)
+        if case == 1:
+            return (r.permutation(rows)[:int(r.integers(1, rows + 1))],)
+        return (np.zeros(0, dtype=np.int64),)
+    if case == 0:
+        n = rows * width + 5
+        return r.integers(0, rows, size=n), r.integers(0, width, size=n)
+    if case == 1:
+        flat = r.permutation(rows * width)[:int(r.integers(1, rows * width + 1))]
+        return flat // width, flat % width
+    return np.full(9, rows - 1), np.full(9, width // 2)
+
+
+def rewritten_case(name, r, rows, width, case):
     """(op on leaf tensors, reference on their arrays, leaf arrays)."""
     scale = 10.0 ** r.uniform(-2, 2)
     x = r.normal(size=(rows, width)) * scale + r.normal()
+    if name == "relu":
+        edge = r.random(x.shape) < 0.3
+        x[edge] = r.choice(RELU_EDGES, size=int(edge.sum()))
+        return lambda t: t[0].relu(), lambda a, g: ref_relu(a[0], g), [x]
+    if name == "embedding":
+        (ids,) = gather_indices(r, name, case % 3, rows, width)
+        return (lambda t: embedding(t[0], ids), lambda a, g: ref_embedding(a[0], ids, g),
+                [x])
+    if name == "take":
+        picks = gather_indices(r, name, case % 3, rows, width)
+        return lambda t: take(t[0], *picks), lambda a, g: ref_take(a[0], *picks, g), [x]
     if name == "layer_norm":
         return (lambda t: layer_norm(*t), lambda a, g: ref_layer_norm(*a, g),
                 [x, r.uniform(0.5, 1.5, size=width), r.normal(size=width)])
@@ -396,15 +447,18 @@ def rewritten_case(name, r, rows, width):
 
 @pytest.mark.parametrize("width", [8, 16, 64, 65])
 @pytest.mark.parametrize("name", ["layer_norm", "softmax", "log_softmax", "concat",
-                                  "transpose"])
+                                  "transpose", "relu", "embedding", "take"])
 def test_rewritten_op_matches_its_former_code_byte_for_byte(name, width):
     r = rng_for(1000 * len(name) + width)
-    for rows in [1, 2, 64] + [int(n) for n in r.integers(1, 65, size=5)]:
-        op, ref, arrays = rewritten_case(name, r, rows, width)
+    for case, rows in enumerate([1, 2, 64] + [int(n) for n in r.integers(1, 65, size=5)]):
+        op, ref, arrays = rewritten_case(name, r, rows, width, case)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(leaves)
         g = r.normal(size=out.shape)
-        (out * Tensor(g)).sum().backward()
+        if name in ("embedding", "take"):       # scatters must add -0.0 as add.at does
+            g[r.random(g.shape) < 0.3] = -0.0
+        with np.errstate(invalid="ignore"):     # relu's +inf times g of either sign
+            (out * Tensor(g)).sum().backward()
         want, grads = ref([a.copy() for a in arrays], g)
         assert out.data.tobytes() == np.ascontiguousarray(want).tobytes()
         for leaf, grad in zip(leaves, grads):
@@ -412,6 +466,15 @@ def test_rewritten_op_matches_its_former_code_byte_for_byte(name, width):
             assert leaf.grad.tobytes() == np.ascontiguousarray(grad).tobytes()
         with no_grad():
             assert op(leaves).data.tobytes() == out.data.tobytes()
+
+
+def test_relu_propagates_nan():
+    x = Tensor(np.array([np.nan, -np.nan, 1.0, -1.0, 0.0]), requires_grad=True)
+    out = x.relu()
+    assert np.isnan(out.data[:2]).all()
+    assert out.data[2:].tolist() == [1.0, 0.0, 0.0]
+    (out * Tensor(np.ones(5))).sum().backward()
+    assert x.grad.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 # -- tape semantics -------------------------------------------------------------

@@ -79,6 +79,16 @@ def test_duplicate_parameter_rejected(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_payload_rejected_naming_the_parameter(tmp_path, bad):
+    state = sample_params().state()
+    state["lm.bias"][1] = bad
+    path = tmp_path / "bad.ckpt"
+    write_checkpoint(path, state)
+    with pytest.raises(ContractError, match="'lm.bias' holds NaN or inf"):
+        read_checkpoint(path)
+
+
 def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
     ps = sample_params()
     path = tmp_path / "model.ckpt"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtvlm import cli, fileio
-from mtvlm.checkpoint import read_checkpoint
+from mtvlm.checkpoint import read_checkpoint, write_checkpoint
 from mtvlm.cli import (RunConfig, load_run_config, main, pipeline_config,
                        resolved_seed, train_config)
 from mtvlm.data import load_manifest, mix, save_manifest
@@ -434,6 +434,21 @@ def test_infer_on_a_record_longer_than_max_seq_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "exceeds max_seq=40" in err and "Traceback" not in err
+    assert not pred.exists()
+
+
+def test_infer_on_a_checkpoint_holding_nan_exits_2(tmp_path, capsys):
+    data, run = trained_run(tmp_path, steps=2)
+    state = read_checkpoint(run / "model.ckpt")
+    state["lm.ln_f.gain"][:] = np.nan
+    bad = run / "nan.ckpt"                  # beside the run's config and vocab
+    write_checkpoint(bad, state)
+    pred = tmp_path / "p.jsonl"
+    code = main(["infer", "--task", "vqa", "--checkpoint", str(bad),
+                 "--manifest", str(data / "manifest.jsonl"), "--out", str(pred)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'lm.ln_f.gain' holds NaN or inf" in err and "Traceback" not in err
     assert not pred.exists()
 
 

@@ -257,6 +257,57 @@ def test_segmented_forward_rejections():
         model.forward(Tensor(np.zeros((20, 8))), lengths=[3, 17])
 
 
+@pytest.mark.parametrize("lengths", [None, [5, 3, 8]])
+def test_forward_rows_are_those_rows_of_the_full_logits(lengths):
+    model, params = tiny_model(seed=6)
+    rng = np.random.default_rng(17)
+    for p in params.values():
+        p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
+    rows = rng.normal(size=(16, 8))
+    pick = [15, 2, 2, 7, 0, 5]                  # any order, repeats allowed
+    w = rng.normal(size=(len(pick), 11))
+    x_full = Tensor(rows, requires_grad=True)
+    full = model.forward(x_full, lengths=lengths)
+    w_full = np.zeros((16, 11))
+    np.add.at(w_full, pick, w)
+    (full * Tensor(w_full)).sum().backward()
+    want = {n: p.grad.copy() for n, p in params.items() if p.grad is not None}
+    params.zero_grads()
+
+    x = Tensor(rows, requires_grad=True)
+    got = model.forward(x, lengths=lengths, rows=pick)
+    assert got.shape == (len(pick), 11)
+    np.testing.assert_allclose(got.data, full.data[pick], rtol=0, atol=1e-12)
+    (got * Tensor(w)).sum().backward()
+    np.testing.assert_allclose(x.grad, x_full.grad, rtol=0, atol=1e-12)
+    assert sorted(want) == sorted(n for n, p in params.items() if p.grad is not None)
+    for name, grad in want.items():
+        np.testing.assert_allclose(params[name].grad, grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_forward_rows_gradcheck():
+    model, params = tiny_model(dim=4, layers=1, heads=2, max_seq=4, vocab=5, seed=1)
+    rng = np.random.default_rng(3)
+    rows = Tensor(rng.normal(size=(6, 4)))
+    w = rng.normal(size=(3, 5))
+
+    def loss():
+        return (model.forward(rows, lengths=[2, 1, 3], rows=[5, 0, 1]) * Tensor(w)).sum()
+
+    gradcheck(loss, [rows, params["lm.block0.attn.wq.weight"], params["lm.ln_f.gain"],
+                     params["lm.head.weight"], params["lm.head.bias"]])
+
+
+def test_forward_rejects_rows_outside_the_input():
+    model, _ = tiny_model()
+    x = Tensor(np.zeros((5, 8)))
+    for lengths in (None, [2, 3]):
+        for bad in ([5], [-1], [0, 9], [[0, 1]]):
+            with pytest.raises(ContractError, match="logit rows"):
+                model.forward(x, lengths=lengths, rows=bad)
+    assert model.forward(x, rows=[]).shape == (0, 11)
+
+
 # -- greedy decoding --------------------------------------------------------------
 
 def rigged_model(favored: int):
@@ -400,11 +451,12 @@ def test_decoding_keeps_one_mask_row_per_step():
 
 def test_generate_logits_carry_no_tape(monkeypatch):
     model, _ = tiny_model(seed=2)
-    seen = []
+    seen, fed = [], []
     forward = TinyCausalLM.forward
 
-    def spy(self, *args, **kwargs):
-        seen.append(forward(self, *args, **kwargs))
+    def spy(self, embeddings, *args, **kwargs):
+        fed.append(embeddings.shape[0])
+        seen.append(forward(self, embeddings, *args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(TinyCausalLM, "forward", spy)
@@ -412,7 +464,8 @@ def test_generate_logits_carry_no_tape(monkeypatch):
     out = model.generate(prefix, max_new=4, eos_id=99)
     assert not any(t.requires_grad or t._parents for t in seen)
     assert len(out) == 4
-    assert [t.shape[0] for t in seen] == [3, 1, 1, 1]    # prefix once, then one row
+    assert fed == [3, 1, 1, 1]                          # prefix once, then one row
+    assert [t.shape for t in seen] == [(1, 11)] * 4     # the last row's logits only
 
 
 # -- gradients through the stack ----------------------------------------------------

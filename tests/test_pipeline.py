@@ -8,7 +8,7 @@ import pytest
 from mtvlm import training
 from mtvlm.checkpoint import read_checkpoint, write_checkpoint
 from mtvlm.errors import ContractError, SequenceLengthError
-from mtvlm.packing import MARKER_CHANGE, MARKER_IMAGE
+from mtvlm.packing import MARKER_CHANGE
 from mtvlm.pipeline import MultiTemporalModel, PipelineConfig, build_vocab
 from mtvlm.prompting import ClueCache
 from mtvlm.training import JOINT_FREEZE

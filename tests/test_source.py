@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every module-level import in
-``src/mtvlm`` is used by the module that makes it, and every name the
-package exports exists."""
+``src/mtvlm``, ``tests`` and ``tools`` is used by the module that makes it,
+and every name the package exports exists. ``perfbench`` is left out: it
+is the benchmark, which changes on its own terms."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,10 @@ import pytest
 
 import mtvlm
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mtvlm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mtvlm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +41,11 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_test_or_tool_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

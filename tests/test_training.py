@@ -8,7 +8,7 @@ import pytest
 
 from gradcheck import gradcheck
 from mtvlm import change, training, vision
-from mtvlm.autograd import ParameterSet, Tensor
+from mtvlm.autograd import Tensor
 from mtvlm.data import synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, DivergenceError
 from mtvlm.lm import TinyCausalLM
@@ -399,6 +399,46 @@ def test_segmented_loss_is_mean_of_segment_means():
     leaf = Tensor(logits)
     gradcheck(lambda: cross_entropy_next_token(leaf, targets, np.concatenate(masks),
                                                lengths), [leaf])
+
+
+def test_loss_on_the_read_rows_equals_the_loss_on_every_row():
+    rng = np.random.default_rng(6)
+    lengths = [3, 2, 6]
+    logits = rng.normal(size=(sum(lengths), 7))
+    targets = rng.integers(0, 7, size=sum(lengths)).tolist()
+    mask = np.array([False, True, True, False, True,
+                     False, False, True, False, True, True])
+    every = Tensor(logits, requires_grad=True)
+    want = cross_entropy_next_token(every, targets, mask, lengths)
+    want.backward()
+    rows = np.flatnonzero(mask) - 1
+    read = Tensor(logits[rows], requires_grad=True)
+    got = cross_entropy_next_token(read, targets, mask, lengths)
+    got.backward()
+    assert got.item() == want.item()
+    assert read.grad.tobytes() == every.grad[rows].tobytes()
+    assert not np.delete(every.grad, rows, axis=0).any()
+    gradcheck(lambda: cross_entropy_next_token(read, targets, mask, lengths), [read])
+    for n in (4, 10):                       # neither a row per position nor per read
+        with pytest.raises(ContractError, match="disagree"):
+            cross_entropy_next_token(Tensor(logits[:n]), targets, mask, lengths)
+
+
+def test_batch_loss_projects_only_the_rows_the_loss_reads(synth_dir, monkeypatch):
+    out, records = synth_dir
+    model = make_model(out, records)
+    batch = [records[i] for i in (0, 3, 6, 1)]
+    shapes = []
+    forward = TinyCausalLM.forward
+
+    def spy(lm, *args, **kwargs):
+        shapes.append(forward(lm, *args, **kwargs).shape)
+        return forward(lm, *args, **kwargs)
+
+    monkeypatch.setattr(TinyCausalLM, "forward", spy)
+    training._batch_loss(model, batch)
+    read = sum(int(mask.sum()) for _, _, mask in model.training_examples(batch))
+    assert shapes == [(read, len(model.vocab))]
 
 
 def test_segmented_loss_rejections():
