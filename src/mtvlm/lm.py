@@ -172,30 +172,41 @@ class TinyCausalLM:
             self._masks[past, n] = np.triu(np.full((n, past + n), -1e9), k=past + 1)
         return self._masks[past, n]
 
-    def _attention(self, x: Tensor, b: dict, mask: Tensor, kv: list | None) -> Tensor:
-        """All heads of all segments at once. With s segments of n rows each,
-        q is (s, heads, n, dh), k is (s, heads, dh, t), v is (s, heads, t, dh)
-        and ``mask`` is (s, heads, n, t). ``kv`` is the block's cache slot or
-        None (always None when s > 1): the ``[k, v]`` rows of the t - n
-        earlier positions (empty on the first call), to which the new rows
-        are appended."""
-        s = mask.shape[0]
-        rows, d = x.shape
-        n = rows // s
-        heads = self.cfg.heads
+    def _query_mask(self, past: int, t: int, s: int, sel: np.ndarray) -> np.ndarray:
+        """One additive mask row per query slot ``sel`` of the (s, t) slot
+        layout, against the keys of all s segments laid end to end, each
+        ``past + t`` long: a query sees only its own segment's keys up to
+        its own slot. Built per call, since the queries change every step."""
+        seg, slot = np.divmod(sel, t)
+        mask = np.full((sel.size, s, past + t), -1e9)
+        mask[np.arange(sel.size), seg] = self._causal_mask(past, t)[slot]
+        return mask.reshape(sel.size, s * (past + t))
+
+    def _attention(self, x: Tensor, b: dict, mask: Tensor, kv: list | None,
+                   rows: np.ndarray | None = None) -> Tensor:
+        """All heads of all segments at once. ``mask`` is (s, heads, n, t):
+        s segments with n query rows each against t keys each. ``kv`` is the
+        block's cache slot or None (always None when s > 1): the ``[k, v]``
+        rows of the earlier positions (empty on the first call), to which
+        the new rows are appended. Keys and values come from every row of
+        ``x``; queries come from every row, or with ``rows`` from those rows
+        alone, which then form one group (s = 1, n = rows.size) against all
+        keys laid end to end, with one mask row per query."""
+        s, heads, n, t = mask.shape
+        d = x.shape[1]
         dh = d // heads
-        q, k, v = (linear(x, b["w" + c], b["b" + c]) for c in "qkv")
+        q = linear(x if rows is None else embedding(x, rows), b["wq"], b["bq"])
+        k, v = (linear(x, b["w" + c], b["b" + c]) for c in "kv")
         if kv is not None:
             if kv:
                 k, v = concat([kv[0], k]), concat([kv[1], v])
             kv[:] = k, v
-        t = k.shape[0] // s
         q = q.reshape(s, n, heads, dh).transpose(0, 2, 1, 3)
         k = k.reshape(s, t, heads, dh).transpose(0, 2, 3, 1)
         v = v.reshape(s, t, heads, dh).transpose(0, 2, 1, 3)
         scores = q.matmul(k).scale(1.0 / np.sqrt(dh)) + mask
         out = scores.softmax(axis=-1).matmul(v)
-        return linear(out.transpose(0, 2, 1, 3).reshape(rows, d), b["wo"], b["bo"])
+        return linear(out.transpose(0, 2, 1, 3).reshape(s * n, d), b["wo"], b["bo"])
 
     def forward(self, embeddings: Tensor, cache: list | None = None,
                 lengths: Sequence[int] | None = None,
@@ -203,8 +214,7 @@ class TinyCausalLM:
         """Map (N, D_P) input rows to (N, vocab) logits, causally.
 
         With ``rows`` (indices into the N input rows) only those rows' logits
-        come out, in that order: the one gather after the final norm keeps
-        just them, so the head and everything after it skip the other rows.
+        come out, in that order.
 
         With ``lengths`` the rows are segments laid end to end: independent
         sequences of those lengths, each attending only to its own earlier
@@ -212,7 +222,16 @@ class TinyCausalLM:
         out as (segments, T) slots, T the longest length. A short segment's
         pad slots repeat its first row after all its real rows, so the
         causal mask keeps them out of every real row and they receive zero
-        gradient; one gather after the final norm takes the real rows back.
+        gradient.
+
+        Every block but the last runs on every row (every slot, with
+        ``lengths``), since its output feeds the next block's keys. The last
+        block's ``ln1`` and key and value projections do too, but one gather
+        in front of it keeps only the rows whose logits come out: the real
+        slots, or those of ``rows``. Its queries, attention, output
+        projection, MLP, the final norm and the head run on those alone,
+        each query against all keys with a mask row of its own. With neither
+        ``lengths`` nor ``rows`` there is no gather and every row comes out.
 
         With ``cache`` (a list, empty on the first call) the rows continue the
         sequence whose per-block keys and values the cache holds, and their
@@ -244,6 +263,7 @@ class TinyCausalLM:
         if cache == []:
             cache.extend([] for _ in self.blocks)
         pos = self.pos.narrow(0, past, t)
+        sel = rows                  # the slots whose logits come out; None: all
         if s == 1:
             x = embeddings + pos
         else:
@@ -252,22 +272,26 @@ class TinyCausalLM:
             starts = np.cumsum(lengths) - lengths
             src = np.where(real, starts[:, None] + slot, starts[:, None])
             x = embedding(embeddings, src.ravel()) + embedding(pos, np.tile(slot, s))
+            keep = np.flatnonzero(real)
+            sel = keep if rows is None else keep[rows]
         # expanded per call, not cached: decoding sees a new length at every step
         mask = Tensor(np.broadcast_to(self._causal_mask(past, t),
                                       (s, self.cfg.heads, t, past + t)))
         for i, b in enumerate(self.blocks):
             a = layer_norm(x, b["ln1_g"], b["ln1_b"])
-            h = x + self._attention(a, b, mask, None if cache is None else cache[i])
+            cut = sel if i == len(self.blocks) - 1 else None
+            if cut is not None:
+                # the last block's output feeds only the logits, so past its
+                # keys and values it runs on the selected slots alone
+                x = embedding(x, cut)
+                rows_mask = self._query_mask(past, t, s, cut)
+                mask = Tensor(np.broadcast_to(rows_mask, (1, self.cfg.heads, *rows_mask.shape)))
+            h = x + self._attention(a, b, mask, None if cache is None else cache[i], cut)
             m = layer_norm(h, b["ln2_g"], b["ln2_b"])
             m = linear(m, b["fc1_w"], b["fc1_b"]).relu()
             m = linear(m, b["fc2_w"], b["fc2_b"])
             x = h + m
         x = layer_norm(x, self.lnf_g, self.lnf_b)
-        if s > 1:
-            keep = np.flatnonzero(real)
-            x = embedding(x, keep if rows is None else keep[rows])
-        elif rows is not None:
-            x = embedding(x, rows)
         return linear(x, self.head_w, self.head_b)
 
     def generate(self, prefix: Tensor, max_new: int, eos_id: int) -> list[int]:

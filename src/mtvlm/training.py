@@ -122,7 +122,8 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
             f"logits rows {logits.shape[0]}, targets {n}, mask {mask.shape}, "
             f"lengths {lengths} disagree")
     ends = np.cumsum(lengths)
-    if mask[ends[:-1]].any() or mask[0]:
+    starts = ends - lengths
+    if mask[starts[starts < n]].any():
         raise ContractError("position 0 of a segment has no preceding logits to predict it")
     segment = np.searchsorted(ends, positions, side="right")
     counts = np.bincount(segment, minlength=len(ends))
@@ -136,7 +137,13 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
 
 
 class AdamW:
-    """Decoupled weight decay; parameters without gradients are skipped."""
+    """Decoupled weight decay; parameters without gradients are skipped.
+
+    ``m`` and ``v`` are updated in place, through two scratch arrays per
+    parameter made once, in the arithmetic order of
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``p - lr*update - lr*wd*p``. Each step still gives ``p.data`` a fresh
+    array, so an array a caller holds is never written."""
 
     def __init__(self, params: list[Tensor], cfg: TrainConfig):
         self.params = list(params)
@@ -144,20 +151,26 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
 
     def step(self, lr: float) -> None:
         c = self.cfg
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:
                 continue
-            m = self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * g
-            v = self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
-            p.data = p.data - lr * update - lr * c.weight_decay * p.data
+            np.add(np.multiply(m, c.beta1, out=m),
+                   np.multiply(g, 1.0 - c.beta1, out=a), out=m)
+            np.multiply(np.multiply(g, 1.0 - c.beta2, out=a), g, out=a)
+            np.add(np.multiply(v, c.beta2, out=v), a, out=v)
+            np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), c.eps, out=a)
+            np.divide(np.divide(m, bc1, out=b), a, out=b)       # the update
+            data = np.subtract(p.data, np.multiply(b, lr, out=b))
+            p.data = np.subtract(data, np.multiply(p.data, lr * c.weight_decay, out=a),
+                                 out=data)
 
 
 def clip_gradients(params: list[Tensor], max_norm: float) -> float:

@@ -7,6 +7,7 @@ and ``main`` runs with extraction, git and perfbench replaced by fakes.
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,6 +101,35 @@ def test_lower_is_better_verdicts(base, change, want):
              for i, (b, c) in enumerate(zip(base, change))]
     got = bench_ab.summarise(pairs, SPEC)["decode"]["metrics"]["step_ms_p50"]
     assert got["verdict"] == want
+
+
+def test_each_sides_cpu_seconds_and_minor_faults_are_medians_over_the_pairs_used():
+    def with_usage(text, cpu_s, faults):
+        return json.dumps({**json.loads(text),
+                           "rusage": {"cpu_s": cpu_s, "minor_faults": faults}})
+
+    pairs = [pair(s, with_usage(line(steps_per_s=1.0), 20.0 + s, 9000 + 100 * s),
+                  with_usage(line(steps_per_s=1.0), 19.0 + s, 8000 + 10 * s), index=s)
+             for s in range(4)]
+    pairs.append(pair(9, with_usage(line(correct=False), 99.0, 10**6),
+                      with_usage(line(), 99.0, 10**6)))
+    out = bench_ab.summarise(pairs, SPEC)["decode"]
+    assert out["rusage"] == {"base": {"cpu_s": 21.5, "minor_faults": 9150},
+                             "change": {"cpu_s": 20.5, "minor_faults": 8015}}
+    # result lines without rusage, as the other tests feed, give no medians
+    bare = bench_ab.summarise([pair(1, line(), line())], SPEC)["decode"]
+    assert bare["rusage"] == {"base": {}, "change": {}}
+
+
+def test_a_run_records_the_cpu_seconds_and_minor_faults_of_its_process(monkeypatch):
+    readings = iter([SimpleNamespace(ru_utime=1.5, ru_stime=0.25, ru_minflt=100),
+                     SimpleNamespace(ru_utime=12.0, ru_stime=1.0, ru_minflt=4100)])
+    monkeypatch.setattr(bench_ab.resource, "getrusage", lambda who: next(readings))
+    monkeypatch.setattr(bench_ab.subprocess, "run", lambda *a, **k: SimpleNamespace(
+        returncode=0, stdout=line(steps_per_s=2.0) + "\n", stderr=""))
+    got = bench_ab.run_perfbench(ROOT, "joint", 1, 10, 0)
+    assert got["correct"] is True and got["metrics"]["steps_per_s"]["value"] == 2.0
+    assert got["rusage"] == {"cpu_s": 11.25, "minor_faults": 4000}
 
 
 def test_traced_counts_that_differ_are_named():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck, tape_nodes
+from mtvlm import lm
 from mtvlm.autograd import ParameterSet, Tensor
 from mtvlm.data import mix, synth_generate
 from mtvlm.errors import ConfigurationError, ContractError, SequenceLengthError
@@ -298,6 +299,38 @@ def test_forward_rows_gradcheck():
                      params["lm.head.weight"], params["lm.head.bias"]])
 
 
+@pytest.mark.parametrize("lengths,rows,out", [([5, 3, 8], [15, 2, 2, 7], 4),
+                                               ([5, 3, 8], None, 16),
+                                               (None, [15, 0, 4], 3),
+                                               (None, None, 16)])
+def test_only_the_last_block_past_its_keys_runs_on_the_selected_rows(
+        monkeypatch, lengths, rows, out):
+    """Every earlier block feeds the next block's keys, so it runs on every
+    slot (3 segments of 8 with ``lengths``); so do the last block's key and
+    value projections. Its queries, output projection and MLP, and the
+    head, see only the rows whose logits come out."""
+    model, params = tiny_model(layers=3, seed=8)
+    name = {id(p): n for n, p in params.items()}
+    seen = []
+    real_linear = lm.linear
+
+    def spy(x, weight, bias=None):
+        seen.append((name[id(weight)], x.shape[0]))
+        return real_linear(x, weight, bias)
+
+    monkeypatch.setattr(lm, "linear", spy)
+    x = Tensor(np.random.default_rng(4).normal(size=(16, 8)))
+    assert model.forward(x, lengths=lengths, rows=rows).shape == (out, 11)
+    slots = 24 if lengths else 16
+    want = []
+    for i in range(3):
+        cut = out if i == 2 else slots
+        want += [(f"lm.block{i}.attn.wq.weight", cut), (f"lm.block{i}.attn.wk.weight", slots),
+                 (f"lm.block{i}.attn.wv.weight", slots), (f"lm.block{i}.attn.wo.weight", cut),
+                 (f"lm.block{i}.mlp.fc1.weight", cut), (f"lm.block{i}.mlp.fc2.weight", cut)]
+    assert seen == want + [("lm.head.weight", out)]
+
+
 def test_forward_rejects_rows_outside_the_input():
     model, _ = tiny_model()
     x = Tensor(np.zeros((5, 8)))
@@ -409,17 +442,27 @@ def test_cached_decoding_matches_rerun_prefix_reference(trained, stop):
         assert set(lengths) == {model.cfg.gen_max_new}
 
 
+@pytest.mark.parametrize("last_only", [False, True])
 @pytest.mark.parametrize("chunks", [(5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
                                     (1, 3, 1, 6, 5)])
-def test_cached_logits_match_full_forward(chunks):
+def test_cached_logits_match_full_forward(chunks, last_only):
+    """With ``last_only`` the first chunk asks for its last row's logits
+    alone, as ``generate``'s prefix call does: the cache still gets the keys
+    and values of every row."""
     model, params = tiny_model(seed=4)
     rng = np.random.default_rng(10)
     for p in params.values():                # weights large enough to matter
         p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
     rows = rng.normal(size=(sum(chunks), 8))
     cache = []
-    first = model.forward(Tensor(rows[:chunks[0]]), cache)
-    assert first.data.tobytes() == model.forward(Tensor(rows[:chunks[0]])).data.tobytes()
+    want = model.forward(Tensor(rows[:chunks[0]])).data
+    if last_only:
+        first = model.forward(Tensor(rows[:chunks[0]]), cache, rows=[chunks[0] - 1])
+        np.testing.assert_allclose(first.data, want[-1:], rtol=0, atol=1e-12)
+    else:
+        first = model.forward(Tensor(rows[:chunks[0]]), cache)
+        assert first.data.tobytes() == want.tobytes()
+    assert all(k.shape == v.shape == (chunks[0], 8) for k, v in cache)
     end = chunks[0]
     for n in chunks[1:]:
         got = model.forward(Tensor(rows[end:end + n]), cache).data

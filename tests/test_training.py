@@ -129,6 +129,14 @@ def test_cross_entropy_contract_errors():
         cross_entropy_next_token(logits, [0, 0], np.array([False, True, True]))
 
 
+def test_cross_entropy_rejects_an_empty_batch_or_segment():
+    with pytest.raises(ContractError, match="no positions"):
+        cross_entropy_next_token(Tensor(np.zeros((0, 4))), [], np.zeros(0, dtype=bool))
+    with pytest.raises(ContractError, match=r"no positions in segments \[1\]"):
+        cross_entropy_next_token(Tensor(np.zeros((3, 4))), [0, 0, 0],
+                                 np.array([False, True, True]), [3, 0])
+
+
 def test_cross_entropy_gradcheck():
     rng = np.random.default_rng(4)
     logits = Tensor(rng.normal(size=(3, 4)))

@@ -10,7 +10,8 @@ sides run from the same kind of location and no git metadata changes.
 Uncommitted edits are not measured. For each workload and seed,
 ``perfbench/run.py`` runs once on each side, and the side that runs first
 alternates from pair to pair. The last stdout line of each run is its
-result. ``summarise`` turns the pairs into medians, quartiles, per-pair
+result; the CPU seconds and minor page faults of its process are added
+to it. ``summarise`` turns the pairs into medians, quartiles, per-pair
 ratios, win counts and a verdict against each bound in BENCHMARK.json;
 README's "A/B reports" section describes the file it writes.
 """
@@ -22,6 +23,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -35,6 +37,8 @@ SIDES = ("base", "change")
 COUNT_UNITS = ("count", "ratio", "rows/token")
 # a gain needs this share of pairs won, as in the benchmark's own rule
 WIN_SHARE = 0.9
+# what each run cost its whole process, set-up included, from getrusage
+RUSAGE_FIELDS = ("cpu_s", "minor_faults")
 
 
 # -- pure summary ----------------------------------------------------------------
@@ -100,6 +104,13 @@ def verdict(base: list[float], change: list[float], wins: int, higher: bool,
     return "within bound"
 
 
+def _rusage_medians(results: list[dict]) -> dict:
+    """Median of each ``RUSAGE_FIELDS`` value over the results that carry
+    one (``run_perfbench`` adds them as ``rusage``)."""
+    usage = [r["rusage"] for r in results if "rusage" in r]
+    return {k: statistics.median(u[k] for u in usage) for k in RUSAGE_FIELDS} if usage else {}
+
+
 def summarise_workload(pairs: list[dict], spec: dict) -> dict:
     """Summary of one workload's pairs.
 
@@ -119,6 +130,7 @@ def summarise_workload(pairs: list[dict], spec: dict) -> dict:
                                             for s in SIDES}}
                      for p in pairs if not correct(p)],
         "failed_ops": {s: sum(p[s].get("failed", 0) for p in pairs) for s in SIDES},
+        "rusage": {s: _rusage_medians([p[s] for p in used]) for s in SIDES},
         "metrics": {},
     }
     for m in spec["end_to_end"]:
@@ -192,18 +204,24 @@ def _git(repo: Path, *args: str) -> str:
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One perfbench run; a run that crashes counts as not correct."""
+    """One perfbench run, with what its process cost under ``rusage``; a
+    run that crashes counts as not correct."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
+             "minor_faults": after.ru_minflt - before.ru_minflt}
     try:
         if proc.returncode:
             raise ValueError(f"exit {proc.returncode}")
-        return result_line(proc.stdout)
+        result = result_line(proc.stdout)
     except ValueError as e:     # json.JSONDecodeError is a ValueError
-        return {"correct": False, "failed": 1, "metrics": {},
-                "error": f"{e}: {proc.stderr.strip()[-500:]}"}
+        result = {"correct": False, "failed": 1, "metrics": {},
+                  "error": f"{e}: {proc.stderr.strip()[-500:]}"}
+    return {**result, "rusage": usage}
 
 
 def host_record() -> dict:
