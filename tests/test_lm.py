@@ -442,34 +442,34 @@ def test_cached_decoding_matches_rerun_prefix_reference(trained, stop):
         assert set(lengths) == {model.cfg.gen_max_new}
 
 
-@pytest.mark.parametrize("last_only", [False, True])
 @pytest.mark.parametrize("chunks", [(5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
                                     (1, 3, 1, 6, 5)])
-def test_cached_logits_match_full_forward(chunks, last_only):
-    """With ``last_only`` the first chunk asks for its last row's logits
-    alone, as ``generate``'s prefix call does: the cache still gets the keys
-    and values of every row."""
+def test_cached_logits_match_full_forward(chunks):
+    """The first chunk runs once for every row's logits and once, as
+    ``generate``'s prefix call does, for its last row's alone. Either way
+    the cache gets every row's keys and values, and later chunks fed
+    against it match the full forward."""
     model, params = tiny_model(seed=4)
     rng = np.random.default_rng(10)
     for p in params.values():                # weights large enough to matter
         p.data = p.data + rng.normal(0.0, 0.3, p.data.shape)
     rows = rng.normal(size=(sum(chunks), 8))
-    cache = []
     want = model.forward(Tensor(rows[:chunks[0]])).data
-    if last_only:
-        first = model.forward(Tensor(rows[:chunks[0]]), cache, rows=[chunks[0] - 1])
-        np.testing.assert_allclose(first.data, want[-1:], rtol=0, atol=1e-12)
-    else:
-        first = model.forward(Tensor(rows[:chunks[0]]), cache)
-        assert first.data.tobytes() == want.tobytes()
-    assert all(k.shape == v.shape == (chunks[0], 8) for k, v in cache)
-    end = chunks[0]
-    for n in chunks[1:]:
-        got = model.forward(Tensor(rows[end:end + n]), cache).data
-        end += n
-        full = model.forward(Tensor(rows[:end])).data
-        np.testing.assert_allclose(got, full[-n:], rtol=0, atol=1e-12)
-    assert all(k.shape == v.shape == (end, 8) for k, v in cache)
+    for last_only in (False, True):
+        cache = []
+        if last_only:
+            first = model.forward(Tensor(rows[:chunks[0]]), cache, rows=[chunks[0] - 1])
+            np.testing.assert_allclose(first.data, want[-1:], rtol=0, atol=1e-12)
+        else:
+            first = model.forward(Tensor(rows[:chunks[0]]), cache)
+            assert first.data.tobytes() == want.tobytes()
+        end = chunks[0]
+        for n in chunks[1:]:
+            got = model.forward(Tensor(rows[end:end + n]), cache).data
+            end += n
+            full = model.forward(Tensor(rows[:end])).data
+            np.testing.assert_allclose(got, full[-n:], rtol=0, atol=1e-12)
+        assert all(k.shape == v.shape == (end, 8) for k, v in cache)
 
 
 def test_cached_forward_respects_max_seq():
