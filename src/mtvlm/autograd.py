@@ -122,22 +122,14 @@ class Tensor:
         return _op(self.data - other.data, (self, other),
                    lambda g: (_send(self, g), _send(other, -g)))
 
-    def __neg__(self) -> "Tensor":
-        return _op(-self.data, (self,), lambda g: _send(self, -g))
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         _same_shape("mul", self, other)
         return _op(self.data * other.data, (self, other),
                    lambda g: (_send(self, g * other.data), _send(other, g * self.data)))
 
-    def scale(self, s) -> "Tensor":
-        """Multiply by a python float or a scalar tensor."""
-        if isinstance(s, Tensor):
-            if s.data.ndim != 0:
-                raise ShapeError(f"scale factor must be scalar, got shape {s.shape}")
-            return _op(self.data * s.data, (self, s),
-                       lambda g: (_send(self, g * s.data),
-                                  _send(s, np.asarray((g * self.data).sum()))))
+    def scale(self, s: float) -> "Tensor":
+        """Multiply by a python float, a constant off the tape; a ``Tensor``
+        factor is a ``TypeError``."""
         s = float(s)
         return _op(self.data * s, (self,), lambda g: _send(self, g * s))
 
@@ -524,12 +516,6 @@ class ParameterSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def items(self):
         return self._params.items()

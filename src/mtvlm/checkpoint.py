@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import ParameterSet, Tensor
 from .errors import ContractError
 from .fileio import write_atomic
 
@@ -28,13 +27,13 @@ MAGIC = b"URSK"
 VERSION = 1
 
 
-def write_checkpoint(path: str | Path,
-                     params: ParameterSet | dict[str, np.ndarray]) -> None:
+def write_checkpoint(path: str | Path, state: dict[str, np.ndarray]) -> None:
+    """Write ``state``, as ``ParameterSet.state()`` returns it, in its order."""
     chunks = [MAGIC, struct.pack("<I", VERSION)]
-    for name, p in params.items():
+    for name, p in state.items():
         raw = name.encode("utf-8")
         # asarray, not ascontiguousarray: the latter would write 0-d as (1,)
-        arr = np.asarray(p.data if isinstance(p, Tensor) else p, dtype="<f8")
+        arr = np.asarray(p, dtype="<f8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
         chunks.append(struct.pack("<I", arr.ndim))

@@ -24,6 +24,6 @@ class SequenceLengthError(ValueError):
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss. Carries the last good step."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite loss; last finite step was {step}")
+        super().__init__(f"non-finite loss; last finite step was {step}")

@@ -4,7 +4,8 @@ All functions are pure and deterministic. The CIDEr-D implementation
 follows the standard consensus formulation: n-grams for n = 1..4,
 candidate counts clipped at the per-image reference maximum, ln(N/df)
 idf weights, a min-clipped cosine per reference, a gaussian length
-penalty with sigma 6, and a x10 scale. Constants sit in CiderConfig.
+penalty with sigma 6, and a x10 scale. The constants are CIDER_N_MAX,
+CIDER_SIGMA and CIDER_SCALE.
 """
 
 from __future__ import annotations
@@ -83,18 +84,16 @@ class CaptionEntry:
             raise ContractError("caption entry with no references")
 
 
-@dataclass
-class CiderConfig:
-    n_max: int = 4
-    sigma: float = 6.0
-    scale: float = 10.0
+CIDER_N_MAX = 4
+CIDER_SIGMA = 6.0
+CIDER_SCALE = 10.0
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def cider_d(entries: list[CaptionEntry], cfg: CiderConfig = CiderConfig()) -> dict:
+def cider_d(entries: list[CaptionEntry]) -> dict:
     """Corpus and per-image CIDEr-D scores.
 
     Document frequencies count, per n-gram, the images in whose
@@ -107,9 +106,9 @@ def cider_d(entries: list[CaptionEntry], cfg: CiderConfig = CiderConfig()) -> di
     tokenized = [(normalize_answer(e.candidate).split(),
                   [normalize_answer(r).split() for r in e.references])
                  for e in entries]
-    df = [Counter() for _ in range(cfg.n_max)]
+    df = [Counter() for _ in range(CIDER_N_MAX)]
     for _, refs in tokenized:
-        for n in range(1, cfg.n_max + 1):
+        for n in range(1, CIDER_N_MAX + 1):
             seen = set()
             for ref in refs:
                 seen.update(_ngrams(ref, n))
@@ -125,7 +124,7 @@ def cider_d(entries: list[CaptionEntry], cfg: CiderConfig = CiderConfig()) -> di
             per_image.append(0.0)
             continue
         acc = 0.0
-        for n in range(1, cfg.n_max + 1):
+        for n in range(1, CIDER_N_MAX + 1):
             weights = idf[n - 1]
             cand_counts = _ngrams(cand, n)
             ref_counts = [_ngrams(r, n) for r in refs]
@@ -136,13 +135,12 @@ def cider_d(entries: list[CaptionEntry], cfg: CiderConfig = CiderConfig()) -> di
             clipped = {g: min(c, clip[g]) for g, c in cand_counts.items()}
             for rc, ref in zip(ref_counts, refs):
                 acc += _similarity(clipped, dict(rc), weights,
-                                   len(cand), len(ref), cfg.sigma)
-        per_image.append(cfg.scale * acc / (cfg.n_max * len(refs)))
+                                   len(cand), len(ref))
+        per_image.append(CIDER_SCALE * acc / (CIDER_N_MAX * len(refs)))
     return {"cider_d": sum(per_image) / corpus, "per_image": per_image}
 
 
-def _similarity(cand: dict, ref: dict, idf: dict, l_c: int, l_r: int,
-                sigma: float) -> float:
+def _similarity(cand: dict, ref: dict, idf: dict, l_c: int, l_r: int) -> float:
     vc = {g: c * idf.get(g, 0.0) for g, c in cand.items()}
     vr = {g: c * idf.get(g, 0.0) for g, c in ref.items()}
     nc = math.sqrt(sum(v * v for v in vc.values()))
@@ -154,7 +152,7 @@ def _similarity(cand: dict, ref: dict, idf: dict, l_c: int, l_r: int,
     if cand == ref and l_c == l_r:
         return 1.0
     dot = sum(min(vc[g], vr[g]) * vr[g] for g in vc if g in vr)
-    penalty = math.exp(-((l_c - l_r) ** 2) / (2.0 * sigma * sigma))
+    penalty = math.exp(-((l_c - l_r) ** 2) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
     return (dot / (nc * nr)) * penalty
 
 

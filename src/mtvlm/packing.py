@@ -9,7 +9,7 @@ The row layout is defined once, by ``row_layout``: each packed row is a
 ``("text", token position)`` or ``("visual", unit index)`` entry. ``pack``
 stores it as the segment map and fills every row with one ``embedding``
 gather over the text rows stacked on the units' rows; ``supervision_mask``
-and ``validate_packed`` derive their results from the same layout.
+derives the loss mask from the same layout.
 """
 
 from __future__ import annotations
@@ -180,20 +180,6 @@ def supervision_mask(prompt: TokenizedPrompt, answer_token_span: tuple[int, int]
     if mask.sum() != end - start:
         raise ContractError(f"answer span {answer_token_span} crosses a visual marker")
     return mask
-
-
-def validate_packed(ps: PackedSequence, prompt: TokenizedPrompt, l_d: int) -> None:
-    """Re-check the packing laws on an already packed sequence."""
-    layout = row_layout(prompt, l_d)
-    if ps.n != len(layout):
-        raise PackingError(f"N={ps.n}, conservation law demands {len(layout)}")
-    if len(ps.segment_map) != ps.n or ps.loss_mask.shape != (ps.n,):
-        raise PackingError("segment map or mask length disagrees with N")
-    if list(ps.segment_map) != layout:
-        raise PackingError("segment map does not follow tokenizer order")
-    for row, (source, _) in enumerate(layout):
-        if source == "visual" and ps.loss_mask[row]:
-            raise PackingError(f"loss mask set on visual row {row}")
 
 
 def debug_dump(ps: PackedSequence, prompt: TokenizedPrompt) -> dict:

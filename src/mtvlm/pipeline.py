@@ -127,7 +127,12 @@ class MultiTemporalModel:
                    if n.startswith(("encoder.", "change.", "projector.")))
 
     def visual_units(self, record: SampleRecord) -> list[Tensor]:
-        # constants while the visual side is frozen, so cache per record
+        """The record's visual units, one per marker slot.
+
+        While the visual side is frozen they are constants, so they are
+        cached per record and never recomputed. The cache is not told of a
+        later ``params.load_state``: load parameters before the first call.
+        """
         if not self._visual_frozen():
             return self._compute_units(record)
         if record.id not in self._unit_cache:
@@ -181,14 +186,15 @@ class MultiTemporalModel:
         return packed, full, len(prompt.tokens), l_d
 
     def training_example(self, record: SampleRecord):
-        """Packed rows, per-row target ids, and the answer-only loss mask."""
+        """Packed rows, whose loss mask is true on the answer's rows, and
+        per-row target ids."""
         if not record.target:
             raise ContractError(f"record {record.id} has an empty target")
         answer_ids = self.vocab.encode(record.target) + [self.vocab.eos_id]
         packed, full, _, _ = self.packed_example(record, answer_ids)
         targets = [full.tokens[idx] if src == "text" else 0
                    for src, idx in packed.segment_map]
-        return packed, targets, packed.loss_mask
+        return packed, targets
 
     def training_examples(self, records: list[SampleRecord]) -> list:
         """``training_example`` of each record, in order."""
@@ -202,7 +208,3 @@ class MultiTemporalModel:
             ids = self.lm.generate(packed.embeddings, self.cfg.gen_max_new,
                                    self.vocab.eos_id)
         return self.vocab.decode(ids)
-
-    def invalidate_caches(self) -> None:
-        self._unit_cache.clear()
-        self._prompt_cache.clear()

@@ -139,8 +139,9 @@ def cross_entropy_next_token(logits: Tensor, targets: list[int],
 class AdamW:
     """Decoupled weight decay; parameters without gradients are skipped.
 
-    ``m`` and ``v`` are updated in place, through two scratch arrays per
-    parameter made once, in the arithmetic order of
+    ``m`` and ``v`` are updated in place, through one pair of scratch
+    buffers sized to the largest parameter and shared by all of them (each
+    parameter gets its views once, here), in the arithmetic order of
     ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
     ``p - lr*update - lr*wd*p``. Each step still gives ``p.data`` a fresh
     array, so an array a caller holds is never written."""
@@ -151,7 +152,10 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data)) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        bufs = np.empty(size), np.empty(size)
+        self._scratch = [tuple(buf[:p.data.size].reshape(p.data.shape) for buf in bufs)
+                         for p in self.params]
 
     def step(self, lr: float) -> None:
         c = self.cfg
@@ -267,7 +271,7 @@ class _CaptionStub:
             targets = [0] * n_vis + ids
             mask = np.zeros(len(targets), dtype=bool)
             mask[n_vis + 1:] = True        # supervise everything after bos
-            examples.append((PackedSequence(rows, mask), targets, mask))
+            examples.append((PackedSequence(rows, mask), targets))
         return examples
 
 
@@ -308,9 +312,9 @@ def train_joint(model, dataset: MixedDataset | list[SampleRecord],
     """Tune the unfrozen parameters on the mixed dataset.
 
     ``model`` supplies ``params``, ``lm``, and ``training_examples(records)``
-    returning one (packed sequence, target ids, loss mask) per record, in
-    order. Records are
-    consumed cyclically in the dataset's mixed order. Raises
+    returning one (packed sequence, target ids) per record, in order; the
+    loss reads the rows where the packed sequence's ``loss_mask`` is true.
+    Records are consumed cyclically in the dataset's mixed order. Raises
     DivergenceError on a non-finite loss; the checkpoint and log are only
     written after a clean run.
     """
@@ -331,9 +335,9 @@ def _batch_loss(model, batch: list[SampleRecord]) -> Tensor:
     mean of the per-record answer losses. The forward returns logits only
     for the rows the loss reads."""
     examples = model.training_examples(batch)
-    lengths = [packed.embeddings.shape[0] for packed, _, _ in examples]
-    mask = np.concatenate([m for _, _, m in examples])
-    logits = model.lm.forward(concat([packed.embeddings for packed, _, _ in examples]),
+    lengths = [packed.embeddings.shape[0] for packed, _ in examples]
+    mask = np.concatenate([packed.loss_mask for packed, _ in examples])
+    logits = model.lm.forward(concat([packed.embeddings for packed, _ in examples]),
                               lengths=lengths, rows=np.flatnonzero(mask) - 1)
-    return cross_entropy_next_token(logits, [t for _, targets, _ in examples for t in targets],
+    return cross_entropy_next_token(logits, [t for _, targets in examples for t in targets],
                                     mask, lengths)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gradcheck import gradcheck, scalarizer
+from packing_oracle import packing_law_violations
 from mtvlm.autograd import ParameterSet, Tensor, conv2d
 from mtvlm.change import (DualTimeFeatures, FusionParams,
                           SpatialEnhanceParams, change_extract,
@@ -27,7 +28,7 @@ from mtvlm.lm import LMConfig, TinyCausalLM
 from mtvlm.metrics import (CaptionEntry, VQARecord, cider_d,
                            classification_report, normalize_answer,
                            vqa_accuracy)
-from mtvlm.packing import Marker, TokenizedPrompt, pack, supervision_mask, validate_packed
+from mtvlm.packing import Marker, TokenizedPrompt, pack, supervision_mask
 from mtvlm.prompting import (CLUE_PROMPTS, ERA_INSTRUCTION,
                              LEVIRCC_INSTRUCTION, TASK_TAGS, build_prompt)
 from mtvlm.training import TrainConfig, lr_at
@@ -194,7 +195,7 @@ def test_criterion_03_packing_conservation():
             ps = pack(prompt, text, units)
 
             assert ps.n == prompt.text_len + len(slots) * l_d
-            validate_packed(ps, prompt, l_d)
+            assert packing_law_violations(ps, prompt, l_d) == []
 
             marker_at = {pos: i for i, (pos, _) in enumerate(slots)}
             expected, text_row = [], 0

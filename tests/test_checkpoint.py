@@ -19,7 +19,7 @@ def sample_params():
 def test_roundtrip_preserves_values_and_order(tmp_path):
     ps = sample_params()
     path = tmp_path / "model.ckpt"
-    write_checkpoint(path, ps)
+    write_checkpoint(path, ps.state())
     state = read_checkpoint(path)
     assert list(state) == ["lm.embed", "lm.bias", "change.w"]
     for name, arr in state.items():
@@ -40,8 +40,8 @@ def test_write_accepts_plain_state_dict(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     ps = sample_params()
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    write_checkpoint(a, ps)
-    write_checkpoint(b, ps)
+    write_checkpoint(a, ps.state())
+    write_checkpoint(b, ps.state())
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes()[:4] == MAGIC
 
@@ -92,7 +92,7 @@ def test_non_finite_payload_rejected_naming_the_parameter(tmp_path, bad):
 def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
     ps = sample_params()
     path = tmp_path / "model.ckpt"
-    write_checkpoint(path, ps)
+    write_checkpoint(path, ps.state())
     blob = path.read_bytes()
     names = list(ps.state())
     cut_path = tmp_path / "cut.ckpt"
@@ -117,7 +117,7 @@ def test_every_truncation_is_rejected_or_a_record_prefix(tmp_path):
 @pytest.mark.parametrize("fill", [b"\x00", b"\xff"], ids=["zeros", "ones"])
 def test_trailing_bytes_rejected(tmp_path, fill):
     path = tmp_path / "model.ckpt"
-    write_checkpoint(path, sample_params())
+    write_checkpoint(path, sample_params().state())
     blob = path.read_bytes()
     for extra in range(1, 16):
         path.write_bytes(blob + fill * extra)
@@ -128,7 +128,7 @@ def test_trailing_bytes_rejected(tmp_path, fill):
 def test_load_into_strict_and_shapes(tmp_path):
     ps = sample_params()
     path = tmp_path / "model.ckpt"
-    write_checkpoint(path, ps)
+    write_checkpoint(path, ps.state())
 
     fresh = sample_params()
     fresh["lm.bias"].data = np.zeros(2)

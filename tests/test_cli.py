@@ -755,9 +755,9 @@ def test_ablate_cells_that_start_from_stage_one(tmp_path, monkeypatch, extra):
     cells = []
 
     def train_joint(model, mixed, cfg, **kwargs):
-        shared = [n for n in stage1 if n in model.params]
-        warm = bool(shared) and all(np.array_equal(model.params[n].data, stage1[n])
-                                    for n in shared)
+        state = model.params.state()
+        shared = [n for n in stage1 if n in state]
+        warm = bool(shared) and all(np.array_equal(state[n], stage1[n]) for n in shared)
         cells.append((tuple(sorted({r.kind for r in mixed.records})), warm))
         return []
 

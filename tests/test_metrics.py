@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mtvlm.errors import ContractError
+from mtvlm import metrics
 from mtvlm.metrics import (
-    CaptionEntry, CiderConfig, VQARecord, cider_d, classification_report,
+    CaptionEntry, VQARecord, cider_d, classification_report,
     normalize_answer, read_predictions, render_classification_table,
     render_vqa_table, vqa_accuracy, write_predictions,
 )
@@ -213,8 +214,7 @@ def test_cider_empty_candidate_warns_and_scores_zero():
 
 
 def test_cider_config_is_explicit():
-    cfg = CiderConfig()
-    assert (cfg.n_max, cfg.sigma, cfg.scale) == (4, 6.0, 10.0)
+    assert (metrics.CIDER_N_MAX, metrics.CIDER_SIGMA, metrics.CIDER_SCALE) == (4, 6.0, 10.0)
 
 
 def test_caption_entry_validation():

@@ -195,6 +195,42 @@ def test_adamw_two_step_oracle():
     np.testing.assert_allclose(p.data, x, rtol=1e-14)
 
 
+def test_adamw_matches_the_plain_expressions_byte_for_byte():
+    # parameters of several shapes share one scratch pair; the reference is
+    # the update written out in the same arithmetic order
+    cfg = TrainConfig(weight_decay=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+    r = np.random.default_rng(7)
+    shapes = [(3, 4), (7,), (1,), (2, 3, 2), (5, 1)]
+    params = [Tensor(r.normal(size=s), requires_grad=True) for s in shapes]
+    gradless = params[3]
+    opt = AdamW(params, cfg)
+    ref = [[p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for p in params]
+    for t, lr in enumerate((0.1, 0.03, 0.007), start=1):
+        for p in params:
+            p.grad = None if p is gradless else r.normal(size=p.shape) * 10.0 ** r.uniform(-3, 1)
+        held = [p.data for p in params]
+        opt.step(lr)
+        for p, row in zip(params, ref):
+            if p.grad is None:
+                continue
+            x, m, v = row
+            g = p.grad
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            update = (m / (1 - cfg.beta1 ** t)) / (np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.eps)
+            row[:] = [x - update * lr - x * (lr * cfg.weight_decay), m, v]
+        for p, (x, m, v), before in zip(params, ref, held):
+            assert p.data.shape == x.shape and p.data.tobytes() == x.tobytes()
+            assert p.data is not before or p is gradless
+        for got, (_, m, v) in zip(zip(opt.m, opt.v), ref):
+            assert got[0].tobytes() == m.tobytes() and got[1].tobytes() == v.tobytes()
+    assert gradless.data.tobytes() == ref[3][0].tobytes()
+    largest = max(p.data.size for p in params)
+    for a, b in opt._scratch:
+        assert np.shares_memory(a, opt._scratch[0][0]) and np.shares_memory(b, opt._scratch[0][1])
+        assert a.base.size == b.base.size == largest
+
+
 def test_adamw_skips_gradless_params():
     p = param("w", [1.0, 2.0])          # no grad at all
     AdamW([p], TrainConfig(weight_decay=0.5)).step(lr=0.1)
@@ -445,7 +481,7 @@ def test_batch_loss_projects_only_the_rows_the_loss_reads(synth_dir, monkeypatch
 
     monkeypatch.setattr(TinyCausalLM, "forward", spy)
     training._batch_loss(model, batch)
-    read = sum(int(mask.sum()) for _, _, mask in model.training_examples(batch))
+    read = sum(int(packed.loss_mask.sum()) for packed, _ in model.training_examples(batch))
     assert shapes == [(read, len(model.vocab))]
 
 
@@ -467,8 +503,9 @@ def per_record_loss(model, batch):
     """The mean of per-record losses, one LM forward each."""
     loss = None
     for record in batch:
-        packed, targets, mask = model.training_examples([record])[0]
-        one = cross_entropy_next_token(model.lm.forward(packed.embeddings), targets, mask)
+        packed, targets = model.training_examples([record])[0]
+        one = cross_entropy_next_token(model.lm.forward(packed.embeddings), targets,
+                                       packed.loss_mask)
         loss = one if loss is None else loss + one
     return loss.scale(1.0 / len(batch))
 
