@@ -35,6 +35,5 @@ def packing_law_violations(ps, prompt, l_d: int) -> list[str]:
     if list(ps.segment_map) != want:
         found.append("order: segment map does not follow the tokenizer order")
     if ps.loss_mask.shape == (n,) and ps.loss_mask[visual].any():
-        found.append(f"visual rows {np.flatnonzero(ps.loss_mask & visual).tolist()} "
-                     "carry loss")
+        found.append(f"loss: on visual rows {np.flatnonzero(ps.loss_mask & visual).tolist()}")
     return found

@@ -168,7 +168,7 @@ def test_packing_oracle_detects_corruption():
 
     bad_mask = pack(prompt, text, [unit])
     bad_mask.loss_mask[1] = True        # a visual row
-    assert broken(bad_mask) == ["visual rows [1] carry loss"]
+    assert packing_law_violations(bad_mask, prompt, 2) == ["loss: on visual rows [1]"]
 
     shuffled = pack(prompt, text, [unit])
     shuffled.segment_map[0], shuffled.segment_map[-1] = (

@@ -44,13 +44,13 @@ def _lines(code: CodeType) -> set[int]:
 
 def _ranges(lines: set[int]) -> str:
     """``{3, 4, 5, 9}`` -> ``"3-5, 9"``."""
-    out: list[str] = []
+    runs: list[list[int]] = []
     for line in sorted(lines):
-        if out and line == int(out[-1].rpartition("-")[2]) + 1:
-            out[-1] = f"{out[-1].partition('-')[0]}-{line}"
+        if runs and line == runs[-1][1] + 1:
+            runs[-1][1] = line
         else:
-            out.append(str(line))
-    return ", ".join(out)
+            runs.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def report(code: CodeType, ran: set[int], entered: set[tuple[str, int]]) -> list[str]:
@@ -60,21 +60,21 @@ def report(code: CodeType, ran: set[int], entered: set[tuple[str, int]]) -> list
     lambdas and comprehensions included. Empty when everything ran."""
     if ("<module>", code.co_firstlineno) not in entered:
         return ["  never imported"]
-    skipped: list[str] = []
+    skipped: list[tuple[int, str]] = []
     missed: set[int] = set()
     stack = [code]
     while stack:
         c = stack.pop()
         named = not c.co_name.startswith("<")
         if named and (c.co_qualname, c.co_firstlineno) not in entered:
-            skipped.append(f"{c.co_qualname} (line {c.co_firstlineno})")
+            skipped.append((c.co_firstlineno, c.co_qualname))
             continue
         missed |= _lines(c) - ran
         stack += [k for k in c.co_consts if isinstance(k, CodeType)]
     out = []
     if skipped:
         out.append("  never entered: " + ", ".join(
-            sorted(skipped, key=lambda s: int(s.rpartition(" ")[2][:-1]))))
+            f"{name} (line {line})" for line, name in sorted(skipped)))
     if missed:
         out.append(f"  lines never run: {_ranges(missed)}")
     return out
