@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ParameterSet, Tensor, no_grad
+from .blas import one_thread
 from .data import (CAPTION_CHANGED, CAPTION_UNCHANGED, ERA_LABELS,
                    SYNTH_ANSWER_SUFFIX, SYNTH_PAIR_INSTRUCTION,
                    SYNTH_QUESTIONS, SYNTH_VIDEO_CLASSES,
@@ -202,8 +203,9 @@ class MultiTemporalModel:
 
     def predict(self, record: SampleRecord) -> str:
         """Greedy answer for one record. The whole request, visual units and
-        packing included, runs without a tape."""
-        with no_grad():
+        packing included, runs without a tape and on one BLAS thread
+        (``blas.one_thread``)."""
+        with no_grad(), one_thread():
             packed, _, _, _ = self.packed_example(record, [])
             ids = self.lm.generate(packed.embeddings, self.cfg.gen_max_new,
                                    self.vocab.eos_id)

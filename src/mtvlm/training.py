@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import ParameterSet, Tensor, concat, take
+from .blas import one_thread
 from .checkpoint import write_checkpoint
 from .data import MixedDataset, SampleRecord
 from .errors import ConfigurationError, ContractError, DivergenceError
@@ -172,7 +173,7 @@ class AdamW:
             np.add(np.multiply(v, c.beta2, out=v), a, out=v)
             np.add(np.sqrt(np.divide(v, bc2, out=a), out=a), c.eps, out=a)
             np.divide(np.divide(m, bc1, out=b), a, out=b)       # the update
-            data = np.subtract(p.data, np.multiply(b, lr, out=b))
+            data = np.subtract(p.data, np.multiply(b, lr, out=b), out=np.empty_like(p.data))
             p.data = np.subtract(data, np.multiply(p.data, lr * c.weight_decay, out=a),
                                  out=data)
 
@@ -199,24 +200,26 @@ def _fit(model, records: list[SampleRecord], cfg: TrainConfig) -> list[dict]:
     """The optimizer loop of both stages: per step, ``_batch_loss`` on the
     next batch of ``records``, taken cyclically, then backward, clipping
     and AdamW. Each step's graph is dropped before the next step builds
-    its own. Returns the log."""
+    its own. Runs on one BLAS thread (``blas.one_thread``). Returns the
+    log."""
     opt = AdamW(model.params.trainable(), cfg)
     log: list[dict] = []
     n = len(records)
     size = min(cfg.batch_size, n)
-    for step in range(cfg.total_steps):
-        model.params.zero_grads()
-        loss = _batch_loss(model, [records[(step * size + j) % n] for j in range(size)])
-        value = loss.item()
-        if not math.isfinite(value):
-            raise DivergenceError(step - 1)
-        loss.backward()
-        del loss
-        if cfg.grad_clip is not None:
-            clip_gradients(model.params.trainable(), cfg.grad_clip)
-        lr = lr_at(step, cfg)
-        opt.step(lr)
-        log.append({"step": step, "lr": lr, "loss": value})
+    with one_thread():
+        for step in range(cfg.total_steps):
+            model.params.zero_grads()
+            loss = _batch_loss(model, [records[(step * size + j) % n] for j in range(size)])
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DivergenceError(step - 1)
+            loss.backward()
+            del loss
+            if cfg.grad_clip is not None:
+                clip_gradients(model.params.trainable(), cfg.grad_clip)
+            lr = lr_at(step, cfg)
+            opt.step(lr)
+            log.append({"step": step, "lr": lr, "loss": value})
     return log
 
 

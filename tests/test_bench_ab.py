@@ -124,12 +124,34 @@ def test_each_sides_cpu_seconds_and_minor_faults_are_medians_over_the_pairs_used
 def test_a_run_records_the_cpu_seconds_and_minor_faults_of_its_process(monkeypatch):
     readings = iter([SimpleNamespace(ru_utime=1.5, ru_stime=0.25, ru_minflt=100),
                      SimpleNamespace(ru_utime=12.0, ru_stime=1.0, ru_minflt=4100)])
+    clock = iter([100.0, 108.5])
     monkeypatch.setattr(bench_ab.resource, "getrusage", lambda who: next(readings))
+    monkeypatch.setattr(bench_ab.time, "perf_counter", lambda: next(clock))
+    monkeypatch.setattr(bench_ab.os, "getloadavg", lambda: (1.25, 0.5, 0.25))
     monkeypatch.setattr(bench_ab.subprocess, "run", lambda *a, **k: SimpleNamespace(
         returncode=0, stdout=line(steps_per_s=2.0) + "\n", stderr=""))
     got = bench_ab.run_perfbench(ROOT, "joint", 1, 10, 0)
     assert got["correct"] is True and got["metrics"]["steps_per_s"]["value"] == 2.0
-    assert got["rusage"] == {"cpu_s": 11.25, "minor_faults": 4000}
+    assert got["rusage"] == {"cpu_s": 11.25, "wall_s": 8.5, "minor_faults": 4000,
+                             "load1": 1.25}
+
+
+def test_each_side_reports_its_median_cpu_seconds_per_wall_second():
+    def with_usage(text, cpu_s, wall_s, load1):
+        return json.dumps({**json.loads(text), "rusage": {
+            "cpu_s": cpu_s, "wall_s": wall_s, "minor_faults": 0, "load1": load1}})
+
+    # base keeps about two cores busy, the change one
+    runs = [((15.0, 7.5, 0.5), (9.0, 9.0, 1.0)),
+            ((14.0, 8.0, 1.5), (9.5, 9.5, 1.0)),
+            ((16.0, 10.0, 0.0), (9.0, 10.0, 2.0))]
+    pairs = [pair(i, with_usage(line(), *b), with_usage(line(), *c), index=i)
+             for i, (b, c) in enumerate(runs)]
+    out = bench_ab.summarise(pairs, SPEC)["decode"]["rusage"]
+    assert out["base"] == {"cpu_s": 15.0, "wall_s": 8.0, "minor_faults": 0, "load1": 0.5,
+                           "cpu_per_wall": 1.75}
+    assert out["change"] == {"cpu_s": 9.0, "wall_s": 9.5, "minor_faults": 0, "load1": 1.0,
+                             "cpu_per_wall": 1.0}
 
 
 def test_traced_counts_that_differ_are_named():

@@ -231,6 +231,19 @@ def test_adamw_matches_the_plain_expressions_byte_for_byte():
         assert a.base.size == b.base.size == largest
 
 
+def test_adamw_steps_a_0d_parameter_as_it_steps_a_1_element_one():
+    cfg = TrainConfig(weight_decay=0.05)
+    scalar = param("s", 1.5, grad=0.25)
+    vector = param("v", [1.5], grad=[0.25])
+    opt = AdamW([scalar, vector], cfg)
+    for lr in (0.1, 0.03):
+        held = scalar.data
+        opt.step(lr)
+        assert isinstance(scalar.data, np.ndarray) and scalar.data.shape == ()
+        assert scalar.data is not held
+        assert scalar.data.tobytes() == vector.data.tobytes()
+
+
 def test_adamw_skips_gradless_params():
     p = param("w", [1.0, 2.0])          # no grad at all
     AdamW([p], TrainConfig(weight_decay=0.5)).step(lr=0.1)

@@ -10,8 +10,8 @@ sides run from the same kind of location and no git metadata changes.
 Uncommitted edits are not measured. For each workload and seed,
 ``perfbench/run.py`` runs once on each side, and the side that runs first
 alternates from pair to pair. The last stdout line of each run is its
-result; the CPU seconds and minor page faults of its process are added
-to it. ``summarise`` turns the pairs into medians, quartiles, per-pair
+result; the CPU and wall seconds and minor page faults of its process,
+and the 1-minute load average at its start, are added to it. ``summarise`` turns the pairs into medians, quartiles, per-pair
 ratios, win counts and a verdict against each bound in BENCHMARK.json;
 README's "A/B reports" section describes the file it writes.
 """
@@ -30,6 +30,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("base", "change")
@@ -37,8 +38,9 @@ SIDES = ("base", "change")
 COUNT_UNITS = ("count", "ratio", "rows/token")
 # a gain needs this share of pairs won, as in the benchmark's own rule
 WIN_SHARE = 0.9
-# what each run cost its whole process, set-up included, from getrusage
-RUSAGE_FIELDS = ("cpu_s", "minor_faults")
+# what each run cost its whole process, set-up included, and how busy the
+# host was when it started
+RUSAGE_FIELDS = ("cpu_s", "wall_s", "minor_faults", "load1")
 
 
 # -- pure summary ----------------------------------------------------------------
@@ -105,10 +107,15 @@ def verdict(base: list[float], change: list[float], wins: int, higher: bool,
 
 
 def _rusage_medians(results: list[dict]) -> dict:
-    """Median of each ``RUSAGE_FIELDS`` value over the results that carry
-    one (``run_perfbench`` adds them as ``rusage``)."""
+    """Median of each ``RUSAGE_FIELDS`` value that every result carrying a
+    ``rusage`` has (``run_perfbench`` adds them), and of ``cpu_s / wall_s``:
+    about 1 for a run on one core, more for one that keeps more cores busy."""
     usage = [r["rusage"] for r in results if "rusage" in r]
-    return {k: statistics.median(u[k] for u in usage) for k in RUSAGE_FIELDS} if usage else {}
+    out = {k: statistics.median(u[k] for u in usage) for k in RUSAGE_FIELDS
+           if usage and all(k in u for u in usage)}
+    if "wall_s" in out:
+        out["cpu_per_wall"] = statistics.median(u["cpu_s"] / u["wall_s"] for u in usage)
+    return out
 
 
 def summarise_workload(pairs: list[dict], spec: dict) -> dict:
@@ -206,14 +213,18 @@ def _git(repo: Path, *args: str) -> str:
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One perfbench run, with what its process cost under ``rusage``; a
     run that crashes counts as not correct."""
+    load1 = os.getloadavg()[0]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     usage = {"cpu_s": (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime),
-             "minor_faults": after.ru_minflt - before.ru_minflt}
+             "wall_s": wall, "minor_faults": after.ru_minflt - before.ru_minflt,
+             "load1": load1}
     try:
         if proc.returncode:
             raise ValueError(f"exit {proc.returncode}")
