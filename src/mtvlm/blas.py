@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-
 
 @functools.cache
 def _thread_calls():
     """(get, set) of numpy's bundled OpenBLAS thread count, or None when the
     library or either symbol is missing."""
-    for path in sorted(_LIBS.glob("libscipy_openblas64_*.so")):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
             get = lib.scipy_openblas_get_num_threads64_
